@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.runtime import RedoopRuntime
 from ..hadoop.catalog import BatchFile
@@ -40,9 +40,11 @@ __all__ = [
     "build_server",
     "tenant_specs",
     "churn_plan",
+    "default_fault_plan",
     "scenario_batches",
     "drive_scenario",
     "output_digests",
+    "window_digest",
 ]
 
 #: The shared click-stream source every tenant reads.
@@ -158,6 +160,27 @@ def churn_plan(scenario: ServiceScenario) -> List[ChurnAction]:
         ),
         ChurnAction(time=snap(h * 0.60), kind="resume", name="t02"),
     ]
+
+
+def default_fault_plan(scenario: ServiceScenario):
+    """Kill the last node mid-horizon, recover it a few slides later.
+
+    Returns a :class:`~repro.chaos.ChaosSchedule` of explicit-node
+    ``node-kill`` / ``node-recover`` events, snapped to slide
+    boundaries — the fault language the service path of
+    :func:`~repro.chaos.twin_run` applies.
+    """
+    from ..chaos.schedule import ChaosEvent, ChaosSchedule
+
+    h, s = scenario.horizon, scenario.slide
+    victim = scenario.num_nodes - 1
+    return ChaosSchedule(
+        seed=scenario.seed,
+        events=(
+            ChaosEvent(at=round(h * 0.4 / s) * s, kind="node-kill", node_id=victim),
+            ChaosEvent(at=round(h * 0.7 / s) * s, kind="node-recover", node_id=victim),
+        ),
+    )
 
 
 def scenario_batches(
@@ -284,14 +307,18 @@ def drive_scenario(
     return summarize(server)
 
 
+def window_digest(sorted_reprs: Iterable[str]) -> str:
+    """sha256 of one window's sorted output reprs, newline-joined."""
+    canonical = "\n".join(sorted_reprs)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def output_digests(server: QueryServer) -> Dict[str, List[Tuple[int, str]]]:
     """Per-tenant ``(recurrence, sha256-of-sorted-output)`` sequences."""
     digests: Dict[str, List[Tuple[int, str]]] = {}
     for result in server.results:
-        canonical = "\n".join(sorted(map(repr, result.output)))
-        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
         digests.setdefault(result.query, []).append(
-            (result.recurrence, digest)
+            (result.recurrence, window_digest(sorted(map(repr, result.output))))
         )
     return digests
 

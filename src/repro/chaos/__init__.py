@@ -1,4 +1,4 @@
-"""Chaos harness: declarative fault schedules and a recovery oracle.
+"""Chaos harness: declarative fault schedules and one differential harness.
 
 Redoop's fault-tolerance claim (paper Sec. 5) is that metadata rollback
 plus re-execution makes every recoverable failure *output-neutral*: the
@@ -15,15 +15,15 @@ turns that claim into an executable check:
   scheduler task lists vs. node-local files, run after every injection;
 * :func:`~repro.chaos.driver.run_chaos_series` — executes a workload
   under a schedule, applying events between ingest steps;
-* :func:`~repro.chaos.oracle.run_differential` — the differential
-  oracle: fault-free vs. chaos run, digests compared per window;
-* :func:`~repro.chaos.oracle.run_reuse_differential` — the same
-  contract for the cross-query reuse store: store-off vs. cold vs.
-  warm runs must agree on every non-degraded window digest;
-* :func:`~repro.chaos.oracle.run_worker_fault_differential` — the
-  *real-process* extension: a fault-free serial run vs. a supervised
-  process-backend run whose actual OS workers are crashed
-  (``os._exit``) and hung by ``worker-kill`` / ``worker-hang`` events.
+* :func:`~repro.chaos.twin.twin_run` — the differential harness: one
+  scenario (an ``ExperimentConfig`` or a multi-tenant
+  ``ServiceScenario``) under a baseline :class:`~repro.chaos.twin.Arm`
+  and any number of variant arms, each combining an execution backend
+  factory, a chaos schedule, a reuse store and the shared-scan switch.
+  Every arm's per-window digests must match the baseline's outside
+  degraded windows, no invariant may break, and every counter an arm
+  names in ``expect`` (``reuse.hits``, ``exec.worker_lost``,
+  ``plan.shared_scans``, …) must end up > 0.
 
 See ``docs/fault-tolerance.md`` for the failure domains and semantics.
 """
@@ -31,26 +31,17 @@ See ``docs/fault-tolerance.md`` for the failure domains and semantics.
 from .schedule import ChaosEvent, ChaosSchedule, EVENT_KINDS
 from .invariants import check_invariants
 from .driver import ChaosReport, run_chaos_series
-from .oracle import (
-    DifferentialReport,
-    ReuseDifferentialReport,
-    WorkerFaultDifferentialReport,
-    run_differential,
-    run_reuse_differential,
-    run_worker_fault_differential,
-)
+from .twin import Arm, ArmRun, TwinReport, twin_run
 
 __all__ = [
+    "Arm",
+    "ArmRun",
     "ChaosEvent",
     "ChaosReport",
     "ChaosSchedule",
-    "DifferentialReport",
-    "ReuseDifferentialReport",
-    "WorkerFaultDifferentialReport",
     "EVENT_KINDS",
+    "TwinReport",
     "check_invariants",
     "run_chaos_series",
-    "run_differential",
-    "run_reuse_differential",
-    "run_worker_fault_differential",
+    "twin_run",
 ]

@@ -16,6 +16,7 @@ rows/series the paper plots and optionally exporting them as CSV::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Dict, Optional, Sequence
@@ -610,6 +611,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _backend_factory(args):
+    """A zero-argument factory for the requested backend, or ``None``
+    for serial (harnesses that build one backend per run take this)."""
+    name = getattr(args, "backend", "serial")
+    if name == "serial":
+        return None
+    return functools.partial(
+        make_backend, name, workers=getattr(args, "workers", None)
+    )
+
+
 def _backend_from(args):
     """Build the requested execution backend, or ``None`` for serial.
 
@@ -617,10 +629,8 @@ def _backend_from(args):
     own default — the serial path stays byte-identical to a build
     without the flag.
     """
-    name = getattr(args, "backend", "serial")
-    if name == "serial":
-        return None
-    return make_backend(name, workers=getattr(args, "workers", None))
+    factory = _backend_factory(args)
+    return factory() if factory is not None else None
 
 
 def _cluster_config_from(args) -> ClusterConfig:
@@ -776,8 +786,8 @@ def _run_plan(args) -> int:
     from .plan import format_sharing_report, render_plan, sharing_report
 
     if args.differential:
-        from .bench.service import ServiceScenario
-        from .bench.sharing import default_fault_plan, run_sharing_differential
+        from .bench.service import ServiceScenario, default_fault_plan
+        from .chaos import Arm, twin_run
 
         scenario = ServiceScenario(
             tenants=args.tenants,
@@ -786,15 +796,21 @@ def _run_plan(args) -> int:
             seed=args.seed,
             churn=not args.no_churn,
         )
-        backend_factory = None
-        if getattr(args, "backend", "serial") != "serial":
-            def backend_factory():
-                return make_backend(args.backend, workers=args.workers)
-
-        report = run_sharing_differential(
+        backend = _backend_factory(args)
+        schedule = default_fault_plan(scenario) if args.faults else None
+        report = twin_run(
             scenario,
-            backend_factory=backend_factory,
-            fault_plan=default_fault_plan(scenario) if args.faults else (),
+            Arm("unshared", backend=backend, schedule=schedule),
+            Arm(
+                "shared",
+                backend=backend,
+                schedule=schedule,
+                share_scans=True,
+                expect=("plan.shared_scans", "plan.shared_map_bytes_saved"),
+            ),
+        )
+        print(
+            f"tenants={scenario.tenants} recurrences={scenario.recurrences}"
         )
         print(report.summary())
         if not report.ok:
@@ -861,35 +877,38 @@ def _run_chaos(args) -> int:
     from pathlib import Path
 
     from .bench import build_workload, join_config, run_redoop_series
-    from .chaos import ChaosSchedule, run_differential
-    from .chaos.oracle import run_reuse_differential, run_worker_fault_differential
-    from .exec import ProcessPoolBackend
+    from .chaos import Arm, ChaosSchedule, twin_run
+    from .reuse import ReuseStore
 
-    backend = _backend_from(args)
+    backend = _backend_factory(args)
+    # Real process faults need a supervised process backend for the
+    # chaos arm; the fault-free baseline stays serial.
+    worker_backend = functools.partial(
+        make_backend,
+        "process",
+        workers=getattr(args, "workers", None),
+        batch_deadline=args.worker_fault_deadline,
+        max_task_retries=args.worker_fault_retries,
+        max_pool_rebuilds=args.worker_fault_rebuilds,
+    )
     worker_faults = args.worker_fault_kills + args.worker_fault_hangs > 0
-    wf_backend = None
-    if worker_faults:
-        # Real process faults need a supervised process backend for the
-        # chaos run; one instance is shared across seeds (the supervisor
-        # rebuilds its pool as faults destroy it).
-        wf_backend = ProcessPoolBackend(
-            workers=getattr(args, "workers", None),
-            batch_deadline=args.worker_fault_deadline,
-            max_task_retries=args.worker_fault_retries,
-            max_pool_rebuilds=args.worker_fault_rebuilds,
-        )
     config = join_config(0.5, scale=args.scale, num_windows=args.windows)
     if args.capacity_fraction is not None:
         # Probe a fault-free unbounded run for the peak cached working
         # set, then re-arm the whole differential (baseline + chaos) at
         # the requested fraction of it: the oracle's digest comparison
         # now also proves eviction never changes an answer under faults.
-        probe = run_redoop_series(
-            config,
-            label="probe",
-            workload=build_workload(config),
-            backend=backend,
-        )
+        probe_backend = backend() if backend is not None else None
+        try:
+            probe = run_redoop_series(
+                config,
+                label="probe",
+                workload=build_workload(config),
+                backend=probe_backend,
+            )
+        finally:
+            if probe_backend is not None:
+                probe_backend.close()
         capacity = max(
             1, int(probe.peak_cached_bytes * args.capacity_fraction)
         )
@@ -931,20 +950,28 @@ def _run_chaos(args) -> int:
             e.kind in ("worker-kill", "worker-hang") for e in schedule.events
         )
         if args.reuse:
-            report = run_reuse_differential(
-                config, schedule, backend=wf_backend or backend
+            store = ReuseStore()
+            arm_backend = worker_backend if worker_faults else backend
+            arms = (
+                Arm("reuse-off", backend=arm_backend),
+                Arm("reuse-cold", backend=arm_backend, schedule=schedule,
+                    store=store),
+                Arm("reuse-warm", backend=arm_backend, schedule=schedule,
+                    store=store, expect=("reuse.hits",)),
             )
-        elif worker_faults or (has_worker_events and wf_backend is None):
-            report = run_worker_fault_differential(
-                config,
-                schedule,
-                backend=wf_backend,
-                batch_deadline=args.worker_fault_deadline,
-                max_task_retries=args.worker_fault_retries,
-                max_pool_rebuilds=args.worker_fault_rebuilds,
+        elif worker_faults or has_worker_events:
+            arms = (
+                Arm("fault-free"),
+                Arm("chaos", backend=worker_backend, schedule=schedule,
+                    expect=("exec.worker_lost",) if has_worker_events else ()),
             )
         else:
-            report = run_differential(config, schedule, backend=backend)
+            arms = (
+                Arm("fault-free", backend=backend),
+                Arm("chaos", backend=backend, schedule=schedule),
+            )
+        report = twin_run(config, *arms)
+        print(f"seed={schedule.seed} events={len(schedule)}")
         print(report.summary())
         last_schedule, last_report = schedule, report
         if not report.ok:
@@ -958,23 +985,11 @@ def _run_chaos(args) -> int:
         kind = "failing" if failing_schedule else "last"
         print(f"wrote {kind} schedule to {args.schedule_out}")
     if args.trace_out and last_report is not None:
-        if args.reuse:
-            tracers = {
-                "reuse-off": last_report.off.tracer,
-                "reuse-cold": last_report.cold.series.tracer,
-                "reuse-warm": last_report.warm.series.tracer,
-            }
-        else:
-            tracers = {
-                "fault-free": last_report.baseline.tracer,
-                "chaos": last_report.chaos.series.tracer,
-            }
-        count = export_chrome_trace(tracers, args.trace_out)
+        count = export_chrome_trace(
+            {run.arm.label: run.tracer for run in last_report.arms},
+            args.trace_out,
+        )
         print(f"wrote {count} trace events to {args.trace_out}")
-    if wf_backend is not None:
-        wf_backend.close()
-    if backend is not None:
-        backend.close()
     return 1 if failures else 0
 
 
@@ -1029,9 +1044,10 @@ def _run_reuse_bench(args) -> int:
     from pathlib import Path
 
     from .bench.experiments import aggregation_config, join_config
-    from .bench.reuse import run_warm_cold
+    from .chaos import Arm, twin_run
+    from .reuse import ReuseStore
 
-    backend = _backend_from(args)
+    backend = _backend_factory(args)
     make_config = aggregation_config if args.kind == "aggregation" else join_config
     config = make_config(
         args.overlap, scale=args.scale, num_windows=args.windows
@@ -1041,23 +1057,58 @@ def _run_reuse_bench(args) -> int:
         if args.capacity_mb is not None
         else None
     )
-    try:
-        report = run_warm_cold(
-            config, capacity_bytes=capacity, backend=backend
+    # Three runs over one workload: store-off (the correctness
+    # baseline), cold (fresh store, publishes as it computes) and warm
+    # (fresh cluster, the cold run's store — served from storage).
+    store = ReuseStore(capacity_bytes=capacity)
+    report = twin_run(
+        config,
+        Arm("reuse-off", backend=backend),
+        Arm("reuse-cold", backend=backend, store=store),
+        Arm("reuse-warm", backend=backend, store=store, expect=("reuse.hits",)),
+    )
+    cold, warm = (run.series for run in report.variants)
+    cold_avg, warm_avg = cold.avg_response(), warm.avg_response()
+    speedup = cold_avg / warm_avg if warm_avg > 0 else float("inf")
+    reuse_counters = {
+        name: value
+        for name, value in warm.runtime_counters.items()
+        if name.startswith("reuse.")
+    }
+    digests_equal = not report.mismatches
+    print(
+        "\n".join(
+            [
+                f"{config.kind} overlap={config.overlap:g} "
+                f"windows={config.num_windows}",
+                f"  cold avg response: {cold_avg:10.2f} s",
+                f"  warm avg response: {warm_avg:10.2f} s"
+                f"   ({speedup:.1f}x faster)",
+                f"  reuse hits: {reuse_counters.get('reuse.hits', 0.0):.0f}  "
+                f"bytes saved: {reuse_counters.get('reuse.bytes_saved', 0.0):.0f}",
+                "  digests: "
+                + ("identical across off/cold/warm" if digests_equal
+                   else "MISMATCH — reuse changed an answer"),
+            ]
         )
-    finally:
-        if backend is not None:
-            backend.close()
-    print(report.summary())
+    )
     if args.json_out:
-        Path(args.json_out).write_text(
-            json.dumps(report.as_dict(), indent=2) + "\n"
-        )
+        payload = {
+            "kind": config.kind,
+            "overlap": config.overlap,
+            "num_windows": config.num_windows,
+            "cold_avg_response": cold_avg,
+            "warm_avg_response": warm_avg,
+            "speedup": speedup,
+            "digests_equal": digests_equal,
+            "reuse_counters": reuse_counters,
+        }
+        Path(args.json_out).write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote reuse report to {args.json_out}")
     if not report.ok and not args.no_check:
         print(
             "reuse-bench: FAILED ("
-            + ("digest mismatch" if not report.digests_equal
+            + ("digest mismatch" if not digests_equal
                else "warm run never hit the store")
             + ")",
             file=sys.stderr,

@@ -48,9 +48,13 @@ from typing import (
 from ..hadoop.catalog import BatchFile
 from ..hadoop.cluster import Cluster
 from ..hadoop.counters import Counters, PhaseTimes
-from ..hadoop.faults import FaultInjector, TaskAttemptsExhaustedError
+from ..hadoop.faults import (
+    FaultInjector,
+    TaskAttemptsExhaustedError,
+    run_tasks_or_exhaust,
+)
 from ..hadoop.node import MAP_SLOT, REDUCE_SLOT, TaskNode
-from ..exec import ExecBackend, SerialBackend, WorkerFaultError
+from ..exec import ExecBackend, SerialBackend
 from ..hadoop.shuffle import group_sorted, sort_pairs
 from ..hadoop.task import execute_finalize, execute_map, execute_pane_reduce
 from ..hadoop.timeline import SchedulingDecision, SchedulingTrace
@@ -914,13 +918,16 @@ class RedoopRuntime:
         # Run the pure map bodies through the execution backend in
         # construction order; the drain loop below still decides the
         # virtual-time schedule from the precomputed results.
-        execs = self._run_backend(
+        execs = run_tasks_or_exhaust(
+            self.backend,
             execute_map,
             [
                 ((job, split), {"input_bytes": req.input_bytes})
                 for req, split in zip(requests, chunk_splits)
             ],
             phase="map",
+            counters=self.counters,
+            tracer=self.tracer,
             now=start,
             task_key=f"{state.query.name}/exec-map",
         )
@@ -1418,13 +1425,16 @@ class RedoopRuntime:
             self.scheduler.enqueue_map(request)
         # Pure map bodies run through the backend first (construction
         # order); the FIFO drain then schedules the precomputed results.
-        execs = self._run_backend(
+        execs = run_tasks_or_exhaust(
+            self.backend,
             execute_map,
             [
                 ((job, records), {"input_bytes": charged_bytes})
                 for records, charged_bytes, _locs in subtasks
             ],
             phase="map",
+            counters=self.counters,
+            tracer=self.tracer,
             now=start,
             task_key=f"{query.name}/exec-map",
         )
@@ -1579,10 +1589,13 @@ class RedoopRuntime:
         # pairs through the execution backend up front; the drained
         # requests below consume the precomputed results in whatever
         # order Algorithm 2 dictates.
-        prepared = self._run_backend(
+        prepared = run_tasks_or_exhaust(
+            self.backend,
             execute_pane_reduce,
             [((job, pairs), {"aggregate": aggregation}) for pairs in pane_inputs],
             phase="pane-reduce",
+            counters=self.counters,
+            tracer=self.tracer,
             now=map_finish,
             task_key=f"{query.name}/exec-pane-reduce",
         )
@@ -1778,13 +1791,16 @@ class RedoopRuntime:
         # through the backend here, one task per partition.
         merged_by_partition = dict(
             enumerate(
-                self._run_backend(
+                run_tasks_or_exhaust(
+                    self.backend,
                     execute_finalize,
                     [
                         ((query.finalize, partials), {})
                         for partials in finalize_inputs
                     ],
                     phase="merge",
+                    counters=self.counters,
+                    tracer=self.tracer,
                     now=t0,
                     task_key=f"{query.name}/exec-merge",
                 )
@@ -2895,47 +2911,6 @@ class RedoopRuntime:
                     f"recurrence {recurrence} needs it through {needed}; "
                     "ingest the missing batches first"
                 )
-
-    def _run_backend(
-        self,
-        fn,
-        calls,
-        *,
-        phase: str,
-        now: float,
-        task_key: str,
-        counters: Optional[Counters] = None,
-    ):
-        """Run a task batch through the execution backend.
-
-        The supervision layer recovers worker crashes and hangs
-        invisibly (retry/rebuild/quarantine); its *terminal* failure —
-        a dead pool past the rebuild budget — funnels here into the
-        same ``TaskAttemptsExhaustedError`` path simulated attempt
-        exhaustion takes, so the window degrades and rolls back its
-        caches instead of corrupting digests or reuse artifacts.
-        """
-        bag = counters if counters is not None else self.counters
-        try:
-            return self.backend.run_tasks(
-                fn,
-                calls,
-                phase=phase,
-                counters=bag,
-                tracer=self.tracer,
-                now=now,
-            )
-        except WorkerFaultError as exc:
-            bag.increment("task.exhausted")
-            self.tracer.instant(
-                "task.exhausted",
-                CAT_FAULT,
-                time=now,
-                node_id=None,
-                task=task_key,
-                attempts=exc.attempts,
-            )
-            raise TaskAttemptsExhaustedError(task_key, exc.attempts) from exc
 
     def _with_faults(
         self,

@@ -8,8 +8,9 @@ pool: a worker can crash hard (``os._exit`` — no exception, no cleanup,
 exactly like an OOM kill), hang past the supervisor's batch deadline,
 or merely slow down. The supervisor in :mod:`repro.exec.supervisor`
 must detect each, recover, and keep window digests byte-identical to a
-fault-free serial run — the contract the worker-fault differential
-oracle (``repro.chaos.oracle.run_worker_fault_differential``) enforces.
+fault-free serial run — the contract :func:`repro.chaos.twin_run`
+enforces when a process-backend arm with a worker-fault schedule
+expects ``exec.worker_lost`` against a serial fault-free baseline.
 
 Faults are armed on the *coordinator* side (a seeded plan or a chaos
 event decides which task ordinals are hit) and shipped into the worker

@@ -20,7 +20,7 @@ from .jobtracker import FIFOScheduler, JobResult, JobTracker
 from .node import MAP_SLOT, REDUCE_SLOT, LocalFile, NodeError, TaskNode
 from .runner import PlainHadoopDriver, WindowExecution, window_filtered_job
 from .shuffle import group_sorted, partition_pairs, run_reduce_partition, sort_pairs
-from .simclock import EventQueue, SimClock
+from .simclock import SimClock
 from .task import MapExecution, ReduceExecution, execute_map, execute_reduce
 from .timeline import TaskInterval, Timeline, attach_timeline
 from .types import GIGABYTE, MEGABYTE, KeyValue, Record, records_size, records_span
@@ -34,7 +34,6 @@ __all__ = [
     "CostModel",
     "Counters",
     "DEFAULT_CONFIG",
-    "EventQueue",
     "FIFOScheduler",
     "FaultInjector",
     "FileSplit",

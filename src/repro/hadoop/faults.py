@@ -16,7 +16,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-__all__ = ["FaultInjector", "TaskAttemptsExhaustedError"]
+from repro.exec import WorkerFaultError
+
+__all__ = ["FaultInjector", "TaskAttemptsExhaustedError", "run_tasks_or_exhaust"]
 
 
 class TaskAttemptsExhaustedError(RuntimeError):
@@ -38,6 +40,50 @@ class TaskAttemptsExhaustedError(RuntimeError):
         self.attempts = attempts
         #: Filled in by the runtime when it knows the placement.
         self.node_id = node_id
+
+
+def run_tasks_or_exhaust(
+    backend,
+    fn,
+    calls,
+    *,
+    phase: str,
+    counters,
+    tracer,
+    now: float,
+    task_key: str,
+):
+    """Run a task batch through ``backend``, mapping terminal pool loss.
+
+    The supervision layer recovers worker crashes and hangs invisibly
+    (retry/rebuild/quarantine); its *terminal* failure — a dead pool
+    past the rebuild budget — becomes the same
+    :class:`TaskAttemptsExhaustedError` simulated attempt exhaustion
+    raises. The Redoop runtime then degrades the window and rolls back
+    its caches; plain Hadoop, which has no degraded-window notion, fails
+    the whole job.
+    """
+    try:
+        return backend.run_tasks(
+            fn,
+            calls,
+            phase=phase,
+            counters=counters,
+            tracer=tracer,
+            now=now,
+        )
+    except WorkerFaultError as exc:
+        counters.increment("task.exhausted")
+        tracer.instant(
+            "task.exhausted",
+            "fault",
+            time=now,
+            node_id=None,
+            task=task_key,
+            attempts=exc.attempts,
+        )
+        raise TaskAttemptsExhaustedError(task_key, exc.attempts) from exc
+
 
 
 @dataclass

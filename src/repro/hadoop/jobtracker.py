@@ -23,12 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.exec import ExecBackend, SerialBackend, WorkerFaultError
+from repro.exec import ExecBackend, SerialBackend
 from repro.trace import CAT_JOB, CAT_PHASE, CAT_RUN, CAT_TASK, Span, Tracer
 
 from .cluster import Cluster
 from .counters import Counters, PhaseTimes
-from .faults import FaultInjector, TaskAttemptsExhaustedError
+from .faults import FaultInjector, TaskAttemptsExhaustedError, run_tasks_or_exhaust
 from .hdfs import FileSplit
 from .job import MapReduceJob
 from .node import MAP_SLOT, REDUCE_SLOT, SlotKind, TaskNode
@@ -278,11 +278,13 @@ class JobTracker:
         # Task bodies first (possibly in parallel — results come back in
         # split order), then the sequential list-scheduling pass below
         # charges virtual time exactly as before.
-        execs: List[MapExecution] = self._run_backend(
+        execs: List[MapExecution] = run_tasks_or_exhaust(
+            self.backend,
             execute_map,
             [((job, split.records), {"input_bytes": split.size}) for split in splits],
             phase="map",
             counters=counters,
+            tracer=self.tracer,
             now=t0,
             task_key=f"{job.name}/exec-map",
         )
@@ -415,11 +417,13 @@ class JobTracker:
         rexes: Dict[int, ReduceExecution] = dict(
             zip(
                 partitions,
-                self._run_backend(
+                run_tasks_or_exhaust(
+                    self.backend,
                     execute_reduce,
                     [((job, p, by_partition[p]), {}) for p in partitions],
                     phase="reduce",
                     counters=counters,
+                    tracer=self.tracer,
                     now=maps_done,
                     task_key=f"{job.name}/exec-reduce",
                 ),
@@ -488,43 +492,6 @@ class JobTracker:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-
-    def _run_backend(
-        self,
-        fn,
-        calls,
-        *,
-        phase: str,
-        counters: Counters,
-        now: float,
-        task_key: str,
-    ):
-        """Run a task batch through the execution backend.
-
-        A terminal worker-pool failure maps onto attempt exhaustion:
-        plain Hadoop has no degraded-window notion, so — exactly like
-        a simulated exhausted task — it fails the whole job.
-        """
-        try:
-            return self.backend.run_tasks(
-                fn,
-                calls,
-                phase=phase,
-                counters=counters,
-                tracer=self.tracer,
-                now=now,
-            )
-        except WorkerFaultError as exc:
-            counters.increment("task.exhausted")
-            self.tracer.instant(
-                "task.exhausted",
-                "fault",
-                time=now,
-                node_id=None,
-                task=task_key,
-                attempts=exc.attempts,
-            )
-            raise TaskAttemptsExhaustedError(task_key, exc.attempts) from exc
 
     def _with_faults(
         self,

@@ -1,20 +1,14 @@
 """Virtual time for the discrete-event cluster simulation.
 
 The simulator never sleeps: all durations produced by the cost model are
-added to a :class:`SimClock`, and ordering between concurrent activities
-is resolved with a simple event queue. Keeping the clock an explicit
-object (rather than a module global) lets tests run many independent
+added to a :class:`SimClock`. Keeping the clock an explicit object
+(rather than a module global) lets tests run many independent
 simulations side by side.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
-
-__all__ = ["SimClock", "EventQueue"]
+__all__ = ["SimClock"]
 
 
 class SimClock:
@@ -59,46 +53,3 @@ class SimClock:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock(now={self._now:.3f})"
-
-
-@dataclass(order=True)
-class _Event:
-    when: float
-    seq: int
-    payload: Any = field(compare=False)
-
-
-class EventQueue:
-    """A time-ordered queue of events with FIFO tie-breaking.
-
-    Events scheduled for the same instant pop in insertion order, which
-    keeps simulations deterministic without relying on payload
-    comparability.
-    """
-
-    def __init__(self) -> None:
-        self._heap: List[_Event] = []
-        self._counter = itertools.count()
-
-    def push(self, when: float, payload: Any) -> None:
-        """Schedule ``payload`` to fire at virtual time ``when``."""
-        if when < 0:
-            raise ValueError("events cannot be scheduled before time zero")
-        heapq.heappush(self._heap, _Event(when, next(self._counter), payload))
-
-    def pop(self) -> Tuple[float, Any]:
-        """Remove and return the ``(when, payload)`` of the earliest event."""
-        if not self._heap:
-            raise IndexError("pop from an empty event queue")
-        ev = heapq.heappop(self._heap)
-        return ev.when, ev.payload
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest pending event, or ``None`` when empty."""
-        return self._heap[0].when if self._heap else None
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)

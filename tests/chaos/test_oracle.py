@@ -1,12 +1,16 @@
-"""The differential recovery oracle: output neutrality, end to end."""
+"""The recovery differential: fault-free arm vs. chaos arm, end to end."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.chaos import ChaosEvent, ChaosSchedule, run_differential
+from repro.chaos import Arm, ChaosEvent, ChaosSchedule, twin_run
 
 from .conftest import mini_config
+
+
+def recovery_twin(config, schedule):
+    return twin_run(config, Arm("fault-free"), Arm("chaos", schedule=schedule))
 
 
 def composed_schedule() -> ChaosSchedule:
@@ -29,14 +33,14 @@ def composed_schedule() -> ChaosSchedule:
 class TestOutputNeutrality:
     @pytest.mark.parametrize("kind", ["aggregation", "join"])
     def test_composed_faults_are_output_neutral(self, kind):
-        report = run_differential(mini_config(kind), composed_schedule())
-        assert report.mismatched_windows == []
+        report = recovery_twin(mini_config(kind), composed_schedule())
+        assert report.mismatches == []
         assert report.violations == []
         assert report.ok
-        assert len(report.chaos.events_applied) == 8
+        assert len(report.variants[0].events_applied) == 8
 
     def test_summary_mentions_verdict(self):
-        report = run_differential(mini_config(), composed_schedule())
+        report = recovery_twin(mini_config(), composed_schedule())
         text = report.summary()
         assert "verdict: OK" in text
         assert "injected" in text
@@ -48,20 +52,17 @@ class TestDegradedWindows:
             seed=5,
             events=(ChaosEvent(at=45.0, kind="task-exhaust", doom="/w3/"),),
         )
-        report = run_differential(mini_config(), sched)
-        assert report.degraded_windows == [3]
+        report = recovery_twin(mini_config(), sched)
+        assert [w for _q, w in report.degraded_windows] == [3]
         # The degraded window's (empty) output differs from baseline but
         # is not a mismatch; every later window converges back exactly.
-        assert report.mismatched_windows == []
-        assert (
-            report.chaos.series.output_digests[2]
-            != report.baseline.output_digests[2]
-        )
+        assert report.mismatches == []
+        (query,) = report.baseline.digests
+        want = report.baseline.digests[query]
+        got = report.variants[0].digests[query]
+        assert got[2] != want[2]
         for i in (3, 4):
-            assert (
-                report.chaos.series.output_digests[i]
-                == report.baseline.output_digests[i]
-            )
+            assert got[i] == want[i]
         assert report.ok
 
     def test_summary_reports_degradation(self):
@@ -69,7 +70,7 @@ class TestDegradedWindows:
             seed=5,
             events=(ChaosEvent(at=45.0, kind="task-exhaust", doom="/w2/"),),
         )
-        report = run_differential(mini_config(), sched)
+        report = recovery_twin(mini_config(), sched)
         assert "degraded windows" in report.summary()
 
 
@@ -85,7 +86,7 @@ class TestRandomizedSweep:
                 slide=cfg.slide,
                 events_per_window=1.5,
             )
-            report = run_differential(cfg, sched)
+            report = recovery_twin(cfg, sched)
             assert report.ok, f"seed {seed}:\n{report.summary()}"
 
     @pytest.mark.slow
@@ -103,6 +104,6 @@ class TestRandomizedSweep:
                 events_per_window=2.0,
                 exhaust_window=3,
             )
-            report = run_differential(cfg, sched)
+            report = recovery_twin(cfg, sched)
             assert report.ok, f"seed {seed}:\n{report.summary()}"
-            assert 3 in report.degraded_windows
+            assert 3 in [w for _q, w in report.degraded_windows]

@@ -1,25 +1,40 @@
 """Real-process worker faults under the chaos harness.
 
 ``worker-kill`` / ``worker-hang`` events crash and hang *actual* pool
-workers mid-run; the differential oracle then pins the supervised
-process backend's digests to a fault-free serial run. Deadlines stay
+workers mid-run; ``twin_run`` then pins the supervised process
+backend's digests to a fault-free serial run. Deadlines stay
 small (≤ 2s) so a hung worker can never stall the fast lane.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.chaos import (
+    Arm,
     ChaosEvent,
     ChaosSchedule,
     EVENT_KINDS,
     run_chaos_series,
-    run_worker_fault_differential,
+    twin_run,
 )
-from repro.exec import ProcessPoolBackend
+from repro.exec import ProcessPoolBackend, make_backend
 
 from .conftest import mini_config
+
+
+def worker_twin(config, schedule, **supervision):
+    """Fault-free serial arm vs. a supervised process arm whose real
+    workers the schedule's ``worker-*`` events crash and hang."""
+    backend = partial(make_backend, "process", workers=2, **supervision)
+    return twin_run(
+        config,
+        Arm("fault-free"),
+        Arm("worker-chaos", backend=backend, schedule=schedule,
+            expect=("exec.worker_lost",)),
+    )
 
 
 def worker_schedule(**first_kwargs) -> ChaosSchedule:
@@ -103,26 +118,28 @@ class TestDriverApplication:
 
 class TestWorkerFaultDifferential:
     def test_kill_and_hang_are_output_neutral(self):
-        report = run_worker_fault_differential(
+        report = worker_twin(
             mini_config(), worker_schedule(), batch_deadline=2.0
         )
-        assert report.worker_events_applied
-        assert report.faults_exercised
-        assert report.mismatched_windows == []
+        chaos = report.variants[0]
+        assert any("worker-kill" in d for d in chaos.events_applied)
+        assert any("worker-hang" in d for d in chaos.events_applied)
+        assert chaos.counters["exec.worker_lost"] > 0
+        assert report.mismatches == []
         assert report.degraded_windows == []
         assert report.ok, report.summary()
-        assert "recovery:" in report.summary()
+        assert "worker_lost=" in report.summary()
 
     def test_join_workload_parity_under_kills(self):
         sched = ChaosSchedule(
             seed=6,
             events=(ChaosEvent(at=45.0, kind="worker-kill", count=2),),
         )
-        report = run_worker_fault_differential(
+        report = worker_twin(
             mini_config("join"), sched, batch_deadline=2.0
         )
-        assert report.faults_exercised
-        assert report.mismatched_windows == []
+        assert report.variants[0].counters["exec.worker_lost"] > 0
+        assert report.mismatches == []
         assert report.ok, report.summary()
 
     def test_terminal_fault_degrades_one_window_and_converges(self):
@@ -130,55 +147,40 @@ class TestWorkerFaultDifferential:
         # terminal path: WorkerFaultError -> TaskAttemptsExhaustedError
         # -> degraded window with cache rollback. Later windows must
         # converge back to the fault-free baseline exactly.
-        backend = ProcessPoolBackend(
-            workers=2,
+        sched = ChaosSchedule(
+            seed=8, events=(ChaosEvent(at=45.0, kind="worker-kill"),)
+        )
+        report = worker_twin(
+            mini_config(),
+            sched,
             batch_deadline=2.0,
             max_task_retries=0,
             max_pool_rebuilds=0,
         )
-        sched = ChaosSchedule(
-            seed=8, events=(ChaosEvent(at=45.0, kind="worker-kill"),)
-        )
-        try:
-            report = run_worker_fault_differential(
-                mini_config(), sched, backend=backend
-            )
-        finally:
-            backend.close()
-        assert report.faults_exercised
+        assert report.variants[0].counters["exec.worker_lost"] > 0
         assert report.degraded_windows != []
-        assert report.mismatched_windows == []
-        last = len(report.baseline.output_digests) - 1
+        assert report.mismatches == []
+        (query,) = report.baseline.digests
         assert (
-            report.chaos.series.output_digests[last]
-            == report.baseline.output_digests[last]
+            report.variants[0].digests[query][-1]
+            == report.baseline.digests[query][-1]
         )
         assert report.ok, report.summary()
 
     def test_armed_but_unexercised_run_fails_the_verdict(self):
         # A worker event that never actually lost a worker proves
-        # nothing — the report must refuse to claim fault coverage even
-        # when every digest matches.
-        from repro.bench.harness import run_redoop_series
-        from repro.chaos import WorkerFaultDifferentialReport
-        from repro.chaos.driver import ChaosReport
-
-        cfg = mini_config(num_windows=2)
-        baseline = run_redoop_series(cfg)
+        # nothing: this one is armed after the last window, so the
+        # end-of-run drain discards it unconsumed. The verdict must
+        # refuse to claim fault coverage even though every digest
+        # matches.
         sched = ChaosSchedule(
-            seed=2, events=(ChaosEvent(at=45.0, kind="worker-kill"),)
+            seed=2, events=(ChaosEvent(at=500.0, kind="worker-kill"),)
         )
-        report = WorkerFaultDifferentialReport(
-            schedule=sched,
-            baseline=baseline,
-            chaos=ChaosReport(
-                schedule=sched,
-                series=baseline,
-                events_applied=["t=45s worker-kill"],
-            ),
-            exec_counters={},  # no exec.worker_lost: injection was a no-op
+        report = worker_twin(
+            mini_config(num_windows=2), sched, batch_deadline=2.0
         )
-        assert report.worker_events_applied
-        assert not report.faults_exercised
+        assert report.variants[0].events_applied == ["t=500s worker-kill"]
+        assert report.mismatches == []
+        assert report.unexercised == ["worker-chaos: exec.worker_lost"]
         assert not report.ok
-        assert "NO WORKER WAS LOST" in report.summary()
+        assert "NOT EXERCISED worker-chaos: exec.worker_lost" in report.summary()

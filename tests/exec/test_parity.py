@@ -1,6 +1,6 @@
 """The backend parity oracle: serial vs process digests, byte-identical.
 
-The same pattern as the chaos differential oracle: run one workload
+The same pattern as ``repro.chaos.twin_run``: run one workload
 twice on independent, identically-seeded clusters — once per backend —
 and require every per-window output digest to match. Any divergence is
 a determinism bug in the backend (ordering, pickling, per-process
@@ -14,6 +14,8 @@ checkpoint/restore on the process backend.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.bench.harness import (
@@ -22,8 +24,8 @@ from repro.bench.harness import (
     run_hadoop_series,
     run_redoop_series,
 )
-from repro.chaos import ChaosEvent, ChaosSchedule, run_differential
-from repro.exec import ProcessPoolBackend
+from repro.chaos import Arm, ChaosEvent, ChaosSchedule, twin_run
+from repro.exec import ProcessPoolBackend, make_backend
 from repro.hadoop import small_test_config
 
 
@@ -126,9 +128,7 @@ class TestHadoopParity:
 
 
 class TestChaosParity:
-    def test_differential_oracle_holds_on_process_backend(
-        self, process_backend
-    ):
+    def test_differential_oracle_holds_on_process_backend(self):
         """Faults and parallel user-code composed: the chaos run on the
         process backend must still match its fault-free baseline."""
         schedule = ChaosSchedule(
@@ -140,13 +140,14 @@ class TestChaosParity:
                 ChaosEvent(at=70.0, kind="node-recover"),
             ),
         )
-        report = run_differential(
+        backend = partial(make_backend, "process", workers=2)
+        report = twin_run(
             mini_config("aggregation"),
-            schedule,
-            backend=process_backend,
+            Arm("fault-free", backend=backend),
+            Arm("chaos", backend=backend, schedule=schedule),
         )
         assert report.ok
-        assert report.mismatched_windows == []
+        assert report.mismatches == []
 
     def test_chaos_digests_match_across_backends(self, process_backend):
         """The *chaos* series itself is backend-deterministic: same

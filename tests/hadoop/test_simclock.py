@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.hadoop.simclock import EventQueue, SimClock
+from repro.hadoop.simclock import SimClock
 
 
 class TestSimClock:
@@ -52,47 +52,3 @@ class TestSimClock:
             clock.advance(d)
             assert clock.now >= prev
             prev = clock.now
-
-
-class TestEventQueue:
-    def test_orders_by_time(self):
-        q = EventQueue()
-        q.push(3.0, "c")
-        q.push(1.0, "a")
-        q.push(2.0, "b")
-        assert [q.pop()[1] for _ in range(3)] == ["a", "b", "c"]
-
-    def test_fifo_tiebreak(self):
-        q = EventQueue()
-        q.push(1.0, "first")
-        q.push(1.0, "second")
-        assert q.pop() == (1.0, "first")
-        assert q.pop() == (1.0, "second")
-
-    def test_peek_time(self):
-        q = EventQueue()
-        assert q.peek_time() is None
-        q.push(4.0, None)
-        assert q.peek_time() == 4.0
-        assert len(q) == 1  # peek does not consume
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            EventQueue().pop()
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            EventQueue().push(-1.0, None)
-
-    def test_len_and_bool(self):
-        q = EventQueue()
-        assert not q
-        q.push(0.0, "x")
-        assert q
-        assert len(q) == 1
-
-    def test_payloads_need_not_be_comparable(self):
-        q = EventQueue()
-        q.push(1.0, {"dict": 1})
-        q.push(1.0, {"dict": 2})
-        assert q.pop()[1] == {"dict": 1}
