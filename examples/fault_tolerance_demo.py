@@ -77,8 +77,8 @@ def main() -> None:
           f"{cache_count(runtime)} cache entries on the cluster")
 
     # --- failure 1: half the panes lose their caches -------------------
-    injector = FaultInjector(cache_loss_fraction=0.5, seed=2)
-    destroyed = recovery.inject_pane_cache_failures(injector)
+    injector = FaultInjector(seed=2)
+    destroyed = recovery.inject_pane_cache_failures(injector, fraction=0.5)
     lost_pids = sorted({c.pid for c in destroyed})
     print(f"\ninjected cache failure: destroyed caches of panes {lost_pids}")
     print(f"  cache entries now: {cache_count(runtime)}")

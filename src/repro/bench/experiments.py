@@ -15,11 +15,10 @@ CI smoke runs (``scale=0.1``) versus full paper-shape runs
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from ..exec import ExecBackend
 from ..hadoop.config import DEFAULT_CONFIG, ClusterConfig
-from ..hadoop.faults import FaultInjector
 from ..workloads.batches import paper_spike_windows
 from .harness import (
     ExperimentConfig,
@@ -29,6 +28,9 @@ from .harness import (
     run_redoop_series,
 )
 
+if TYPE_CHECKING:  # repro.chaos imports the bench harness
+    from ..chaos.schedule import ChaosSchedule
+
 __all__ = [
     "PAPER_OVERLAPS",
     "aggregation_config",
@@ -37,6 +39,7 @@ __all__ = [
     "fig7_join",
     "fig8_adaptive",
     "fig9_fault_tolerance",
+    "fig9_schedules",
     "headline_series",
     "headline_speedups",
     "ablation_pane_headers",
@@ -207,6 +210,55 @@ def fig8_adaptive(
     return results
 
 
+def fig9_schedules(
+    config: ExperimentConfig,
+    *,
+    cache_loss_fraction: float = 0.5,
+    cache_corruption_fraction: float = 0.0,
+    node_failure_window: Optional[int] = None,
+) -> Dict[str, ChaosSchedule]:
+    """Fig. 9's Redoop fault series as chaos schedules, keyed by label.
+
+    Every schedule is seeded with ``config.seed``, and every event fires
+    at a window's due time: after its last batch lands, before it runs.
+    ``redoop(f)`` is ``pane-loss`` and ``redoop(c)`` ``cache-corrupt``
+    before each window from the second on; ``redoop(node-f)`` is a
+    seeded ``node-kill`` before ``node_failure_window`` and a
+    ``node-recover`` before the next window, if there is one.
+    """
+    from ..chaos.schedule import ChaosEvent, ChaosSchedule
+
+    n = config.num_windows
+    due = config.spec.execution_time
+
+    def every_window(kind: str, fraction: float) -> ChaosSchedule:
+        return ChaosSchedule(
+            seed=config.seed,
+            events=tuple(
+                ChaosEvent(at=due(r), kind=kind, fraction=fraction)
+                for r in range(2, n + 1)
+            ),
+        )
+
+    schedules = {"redoop(f)": every_window("pane-loss", cache_loss_fraction)}
+    if cache_corruption_fraction > 0:
+        schedules["redoop(c)"] = every_window(
+            "cache-corrupt", cache_corruption_fraction
+        )
+    if node_failure_window is not None:
+        if not 1 <= node_failure_window <= n:
+            raise ValueError(f"node_failure_window must be in [1, {n}]")
+        events = [ChaosEvent(at=due(node_failure_window), kind="node-kill")]
+        if node_failure_window < n:
+            events.append(
+                ChaosEvent(at=due(node_failure_window + 1), kind="node-recover")
+            )
+        schedules["redoop(node-f)"] = ChaosSchedule(
+            seed=config.seed, events=tuple(events)
+        )
+    return schedules
+
+
 def fig9_fault_tolerance(
     *,
     scale: float = 1.0,
@@ -238,6 +290,8 @@ def fig9_fault_tolerance(
     that depended on the dead node's caches). The kill and recovery
     appear in the series' trace as ``node.failed`` / ``node.recovered``
     fault events.
+
+    The Redoop fault series run under :func:`fig9_schedules`.
     """
     config = ExperimentConfig(
         kind="ffg-aggregation",
@@ -249,23 +303,29 @@ def fig9_fault_tolerance(
         cluster_config=cluster_config,
         seed=seed,
     )
+    schedules = fig9_schedules(
+        config,
+        cache_loss_fraction=cache_loss_fraction,
+        cache_corruption_fraction=cache_corruption_fraction,
+        node_failure_window=node_failure_window,
+    )
     workload = build_workload(config)
+
+    def redoop(label: str = "redoop") -> SeriesResult:
+        return run_redoop_series(
+            config,
+            label=label,
+            schedule=schedules.get(label),
+            workload=workload,
+            backend=backend,
+        )
+
     results = {
         "hadoop": run_hadoop_series(
             config, workload=workload, backend=backend
         ),
-        "redoop": run_redoop_series(
-            config, workload=workload, backend=backend
-        ),
-        "redoop(f)": run_redoop_series(
-            config,
-            label="redoop(f)",
-            cache_failure_injector=FaultInjector(
-                cache_loss_fraction=cache_loss_fraction, seed=seed
-            ),
-            workload=workload,
-            backend=backend,
-        ),
+        "redoop": redoop(),
+        "redoop(f)": redoop("redoop(f)"),
         "hadoop(f)": run_hadoop_series(
             config,
             label="hadoop(f)",
@@ -274,30 +334,7 @@ def fig9_fault_tolerance(
             backend=backend,
         ),
     }
-    if cache_corruption_fraction > 0:
-        results["redoop(c)"] = run_redoop_series(
-            config,
-            label="redoop(c)",
-            cache_corruption_injector=FaultInjector(
-                cache_corruption_fraction=cache_corruption_fraction,
-                seed=seed,
-            ),
-            workload=workload,
-            backend=backend,
-        )
-    if node_failure_window is not None:
-        if not 1 <= node_failure_window <= num_windows:
-            raise ValueError(
-                f"node_failure_window must be in [1, {num_windows}]"
-            )
-        results["redoop(node-f)"] = run_redoop_series(
-            config,
-            label="redoop(node-f)",
-            node_failure_window=node_failure_window,
-            node_failure_injector=FaultInjector(seed=seed),
-            workload=workload,
-            backend=backend,
-        )
+    results.update((label, redoop(label)) for label in schedules if label not in results)
     return results
 
 

@@ -14,8 +14,9 @@ counts, and proactive work done before the window closed pays off.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.panes import WindowSpec
 from ..core.query import RecurringQuery
@@ -44,6 +45,9 @@ from ..workloads.queries import (
     join_query,
 )
 from ..workloads.wcc import WCCConfig, generate_wcc_records
+
+if TYPE_CHECKING:  # repro.chaos imports this module
+    from ..chaos.schedule import ChaosEvent, ChaosSchedule
 
 __all__ = [
     "ExperimentConfig",
@@ -175,6 +179,13 @@ class SeriesResult:
     #: Snapshot of the runtime's lifetime counters (Redoop runs only):
     #: cache hits/misses/evictions for hit-rate-vs-capacity reporting.
     runtime_counters: Dict[str, float] = field(default_factory=dict)
+    #: ``describe()`` strings of the schedule events actually applied.
+    events_applied: List[str] = field(default_factory=list)
+    #: Recurrences that ended degraded (attempt exhaustion).
+    degraded_windows: List[int] = field(default_factory=list)
+    #: Invariant violations, prefixed with the checkpoint that saw them
+    #: (checked only when the series ran with a schedule).
+    violations: List[str] = field(default_factory=list)
 
     def response_times(self) -> List[float]:
         return [w.response_time for w in self.windows]
@@ -295,10 +306,7 @@ def run_redoop_series(
     enable_caching: bool = True,
     enable_output_cache: bool = True,
     use_pane_headers: bool = True,
-    cache_failure_injector: Optional[FaultInjector] = None,
-    cache_corruption_injector: Optional[FaultInjector] = None,
-    node_failure_window: Optional[int] = None,
-    node_failure_injector: Optional[FaultInjector] = None,
+    schedule: Optional[ChaosSchedule] = None,
     workload: Optional[Mapping[str, List[Tuple[BatchFile, List[Record]]]]] = None,
     tracer: Optional[Tracer] = None,
     cache_capacity_bytes: Optional[int] = None,
@@ -308,17 +316,13 @@ def run_redoop_series(
 ) -> SeriesResult:
     """Run the experiment on Redoop and collect per-window metrics.
 
-    ``cache_failure_injector`` reproduces Fig. 9: before each window's
-    execution the injector destroys a fraction of live caches.
-    ``cache_corruption_injector`` is the integrity variant: before each
-    window a fraction of live caches is silently tampered instead of
-    destroyed — the runtime must detect the checksum mismatch on read
-    and recover, so this series measures the cost of detection plus
-    rebuild rather than of plain loss. ``node_failure_window`` kills
-    one whole node (picked by ``node_failure_injector``, or a seeded
-    default) right before that recurrence executes and brings it back
-    before the next one — the end-to-end slave-failure scenario of
-    Sec. 5. ``tracer`` supplies the span spine (one is created per run
+    ``schedule`` injects faults mid-run; the runtime then gets
+    ``FaultInjector(seed=schedule.seed)``. Before a batch lands, the
+    events with ``at`` strictly before its ``t_end`` apply; the events
+    due by a window's due time apply after its ingest; later events
+    never apply. With a schedule, even an empty one, the structural
+    invariants are checked after every applied event and every window
+    (``SeriesResult.violations``). ``tracer`` supplies the span spine (one is created per run
     otherwise); it is returned on the series for export.
     ``reuse_store`` attaches a cross-query
     :class:`~repro.reuse.ReuseStore`: pane/window outputs are published
@@ -333,6 +337,9 @@ def run_redoop_series(
         enable_caching=enable_caching,
         enable_output_cache=enable_output_cache,
         use_pane_headers=use_pane_headers,
+        fault_injector=(
+            FaultInjector(seed=schedule.seed) if schedule is not None else None
+        ),
         tracer=tracer,
         cache_capacity_bytes=cache_capacity_bytes,
         eviction_policy=eviction_policy,
@@ -345,32 +352,53 @@ def run_redoop_series(
 
     # Interleave batch arrival with recurrence execution so proactive
     # mode sees data as it lands, exactly like the deployed system.
-    pending: List[Tuple[BatchFile, List[Record]]] = sorted(
-        (item for items in workload.values() for item in items),
-        key=lambda bw: (bw[0].t_end, bw[0].source),
+    pending: Deque[Tuple[BatchFile, List[Record]]] = deque(
+        sorted(
+            (item for items in workload.values() for item in items),
+            key=lambda bw: (bw[0].t_end, bw[0].source),
+        )
     )
+
+    def ingest(count: int) -> int:
+        delivered = min(count, len(pending))
+        for _ in range(delivered):
+            runtime.ingest(*pending.popleft())
+        return delivered
+
+    events: Deque[ChaosEvent] = deque(schedule.events if schedule is not None else ())
+    applied: List[str] = []
+    violations: List[str] = []
+    if schedule is not None:
+        from ..chaos.driver import apply_event
+        from ..chaos.invariants import check_invariants
+
+    def check(where: str) -> None:
+        if schedule is not None:
+            violations.extend(f"{where}: {v}" for v in check_invariants(runtime))
+
+    def fire() -> None:
+        event = events.popleft()
+        if apply_event(event, recovery, ingest):
+            applied.append(event.describe())
+            check(f"after {event.describe()}")
+
     results: List[RecurrenceResult] = []
-    cursor = 0
-    failed_node: Optional[int] = None
     for recurrence in range(1, config.num_windows + 1):
         due = query.execution_time(recurrence)
-        while cursor < len(pending) and pending[cursor][0].t_end <= due + 1e-9:
-            runtime.ingest(*pending[cursor])
-            cursor += 1
-        if failed_node is not None:
-            recovery.recover_node(failed_node)
-            failed_node = None
-        if node_failure_window is not None and recurrence == node_failure_window:
-            injector = node_failure_injector or FaultInjector(seed=config.seed)
-            failed_node = injector.pick_node_victim(cluster.live_node_ids())
-            recovery.fail_node(failed_node)
-        if cache_failure_injector is not None and recurrence > 1:
-            recovery.inject_pane_cache_failures(cache_failure_injector)
-        if cache_corruption_injector is not None and recurrence > 1:
-            recovery.inject_cache_corruption(cache_corruption_injector)
+        while pending and pending[0][0].t_end <= due + 1e-9:
+            if events and events[0].at < pending[0][0].t_end - 1e-9:
+                fire()  # an ingest-burst may have moved the queue
+            else:
+                ingest(1)
+        while events and events[0].at <= due + 1e-9:
+            fire()
         results.append(runtime.run_recurrence(query.name, recurrence))
-    if failed_node is not None:
-        recovery.recover_node(failed_node)
+        check(f"after window {recurrence}")
+    # Worker faults armed but never consumed must not leak into
+    # whatever runs next on a shared backend.
+    drain = getattr(runtime.backend, "drain_worker_faults", None)
+    if schedule is not None and drain is not None:
+        drain()
 
     return SeriesResult(
         label=label,
@@ -394,6 +422,9 @@ def run_redoop_series(
         output_digests=[
             tuple(sorted(map(repr, r.output))) for r in results
         ],
+        events_applied=applied,
+        degraded_windows=[r.recurrence for r in results if r.degraded],
+        violations=violations,
     )
 
 

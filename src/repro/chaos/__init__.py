@@ -13,8 +13,9 @@ turns that claim into an executable check:
 * :func:`~repro.chaos.invariants.check_invariants` — structural
   consistency of controller ready bits vs. registry entries vs.
   scheduler task lists vs. node-local files, run after every injection;
-* :func:`~repro.chaos.driver.run_chaos_series` — executes a workload
-  under a schedule, applying events between ingest steps;
+* :func:`~repro.chaos.driver.apply_event` — applies one event to a
+  runtime. ``run_redoop_series(config, schedule=...)`` calls it between
+  ingest steps, and the service path as virtual time passes each event;
 * :func:`~repro.chaos.twin.twin_run` — the differential harness: one
   scenario (an ``ExperimentConfig`` or a multi-tenant
   ``ServiceScenario``) under a baseline :class:`~repro.chaos.twin.Arm`
@@ -30,18 +31,17 @@ See ``docs/fault-tolerance.md`` for the failure domains and semantics.
 
 from .schedule import ChaosEvent, ChaosSchedule, EVENT_KINDS
 from .invariants import check_invariants
-from .driver import ChaosReport, run_chaos_series
+from .driver import apply_event
 from .twin import Arm, ArmRun, TwinReport, twin_run
 
 __all__ = [
     "Arm",
     "ArmRun",
     "ChaosEvent",
-    "ChaosReport",
     "ChaosSchedule",
     "EVENT_KINDS",
     "TwinReport",
+    "apply_event",
     "check_invariants",
-    "run_chaos_series",
     "twin_run",
 ]

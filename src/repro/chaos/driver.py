@@ -1,299 +1,105 @@
-"""Execute a workload under a :class:`~repro.chaos.schedule.ChaosSchedule`.
+"""Apply one :class:`~repro.chaos.schedule.ChaosEvent` to a runtime.
 
-:func:`run_chaos_series` mirrors the benchmark harness's
-``run_redoop_series`` loop — same workload construction, same
-ingest/execute interleaving, same per-window metrics — but threads a
-fault schedule through it: events fire *between ingest steps* as soon
-as virtual time passes their ``at``, not merely at window boundaries.
-After every injection (and every recurrence) the structural invariants
-are checked, so a rollback bug is pinned to the event that exposed it
-rather than to a wrong digest three windows later.
+:func:`apply_event` is the only place a schedule event touches the
+system. ``run_redoop_series(config, schedule=...)`` calls it between
+ingest steps of its run loop, and ``twin_run``'s multi-tenant service
+path calls it as virtual time passes each event. Every applied event
+counts in ``chaos.events_injected`` and leaves a ``chaos.event`` trace
+instant; an event with nothing to act on (killing the last live node,
+recovering a node that is up, a worker fault on a serial backend) is
+skipped and leaves neither.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Mapping, Optional
+from typing import Callable, Optional
 
-from ..bench.harness import (
-    ExperimentConfig,
-    SeriesResult,
-    WindowMetrics,
-    build_workload,
-)
 from ..core.recovery import RecoveryManager
-from ..core.runtime import RecurrenceResult, RedoopRuntime
-from ..hadoop.cluster import Cluster
-from ..hadoop.faults import FaultInjector
-from ..trace import CAT_CHAOS, Tracer
-from .invariants import check_invariants
-from .schedule import ChaosEvent, ChaosSchedule
+from ..trace import CAT_CHAOS
+from .schedule import ChaosEvent
 
-__all__ = ["ChaosReport", "run_chaos_series"]
+__all__ = ["apply_event"]
 
 
-@dataclass(slots=True)
-class ChaosReport:
-    """Everything a chaos run produced, for the oracle and the CLI."""
+def apply_event(
+    event: ChaosEvent,
+    recovery: RecoveryManager,
+    ingest: Optional[Callable[[int], int]] = None,
+) -> bool:
+    """Apply ``event`` to ``recovery.runtime``; return whether it took effect.
 
-    schedule: ChaosSchedule
-    series: SeriesResult
-    #: ``describe()`` strings of events actually applied, in order.
-    events_applied: List[str] = field(default_factory=list)
-    #: Recurrences that ended degraded (attempt exhaustion).
-    degraded_windows: List[int] = field(default_factory=list)
-    #: Invariant violations, prefixed with the checkpoint that saw them.
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when no structural invariant was ever violated."""
-        return not self.violations
-
-
-class _ChaosRun:
-    """One chaos execution; holds the mutable mid-run state."""
-
-    def __init__(
-        self,
-        config: ExperimentConfig,
-        schedule: ChaosSchedule,
-        *,
-        label: str,
-        workload,
-        check: bool,
-        tracer: Optional[Tracer],
-        backend=None,
-        reuse_store=None,
-    ) -> None:
-        self.config = config
-        self.schedule = schedule
-        self.check = check
-        self.workload = workload or build_workload(config)
-        self.cluster = Cluster(config.cluster_config, seed=config.seed)
-        self.injector = FaultInjector(seed=schedule.seed)
-        self.runtime = RedoopRuntime(
-            self.cluster,
-            fault_injector=self.injector,
-            tracer=tracer,
-            backend=backend,
-            reuse_store=reuse_store,
-        )
-        self.query = config.build_query()
-        self.runtime.register_query(
-            self.query, {src: config.rate for src in config.sources}
-        )
-        self.recovery = RecoveryManager(self.runtime)
-        self.pending: List[tuple] = sorted(
-            (item for items in self.workload.values() for item in items),
-            key=lambda bw: (bw[0].t_end, bw[0].source),
-        )
-        self.cursor = 0
-        self.label = label
-        #: Nodes currently down, oldest failure first (node-recover
-        #: with no explicit node_id revives the longest-dead one).
-        self.down_nodes: List[int] = []
-        self.report = ChaosReport(schedule=schedule, series=None)  # type: ignore[arg-type]
-
-    # ------------------------------------------------------------------
-    # event application
-    # ------------------------------------------------------------------
-
-    def apply(self, event: ChaosEvent) -> None:
-        when = max(self.cluster.clock.now, event.at)
-        applied = True
-        if event.kind == "task-kill":
-            self.injector.task_failure_prob = event.prob
-        elif event.kind == "task-exhaust":
-            self.injector.doom(event.doom)
-        elif event.kind == "node-kill":
-            live = self.cluster.live_node_ids()
-            if len(live) <= 1:
-                applied = False  # never kill the last node
-            else:
-                node_id = (
-                    event.node_id
-                    if event.node_id is not None
-                    else self.injector.pick_node_victim(live)
-                )
-                if self.cluster.node(node_id).alive:
-                    self.recovery.fail_node(node_id)
-                    self.down_nodes.append(node_id)
-                else:
-                    applied = False
-        elif event.kind == "node-recover":
-            node_id = event.node_id
-            if node_id is None:
-                node_id = self.down_nodes[0] if self.down_nodes else None
-            if node_id is None or self.cluster.node(node_id).alive:
-                applied = False
-            else:
-                self.recovery.recover_node(node_id)
-                self.down_nodes.remove(node_id)
-        elif event.kind == "cache-loss":
-            self.recovery.inject_cache_failures(
-                self.injector,
-                cache_type=event.cache_type,
-                fraction=event.fraction,
-            )
-        elif event.kind == "cache-corrupt":
-            self.recovery.inject_cache_corruption(
-                self.injector,
-                cache_type=event.cache_type,
-                fraction=event.fraction,
-            )
-        elif event.kind == "slow-node":
-            if self.cluster.node(event.node_id).alive:
-                self.cluster.set_node_speed(event.node_id, event.speed)
-            else:
-                applied = False
-        elif event.kind == "ingest-burst":
-            burst = 0
-            while burst < event.count and self.cursor < len(self.pending):
-                self.runtime.ingest(*self.pending[self.cursor])
-                self.cursor += 1
-                burst += 1
-            applied = burst > 0
-        elif event.kind in ("worker-kill", "worker-hang"):
-            # Real process faults: arm the supervised backend so the
-            # next first-attempt pool submissions crash or hang inside
-            # an actual worker. Skipped (applied=False) on backends
-            # that cannot host them — serial, or hang without a batch
-            # deadline to reap it.
-            backend = self.runtime.backend
-            inject = getattr(backend, "inject_worker_faults", None)
-            if inject is None or not getattr(backend, "parallel", False):
-                applied = False
-            else:
-                kind = "kill" if event.kind == "worker-kill" else "hang"
-                try:
-                    inject(kind, count=event.count or 1)
-                except ValueError:
-                    applied = False
-
-        if not applied:
-            return
-        self.runtime.counters.increment("chaos.events_injected")
-        self.runtime.tracer.instant(
-            "chaos.event",
-            CAT_CHAOS,
-            time=when,
-            node_id=event.node_id,
-            kind=event.kind,
-            detail=event.describe(),
-        )
-        self.report.events_applied.append(event.describe())
-        self.check_now(f"after {event.describe()}")
-
-    def check_now(self, where: str) -> None:
-        if not self.check:
-            return
-        for violation in check_invariants(self.runtime):
-            self.report.violations.append(f"{where}: {violation}")
-
-    # ------------------------------------------------------------------
-    # the run loop (mirrors run_redoop_series, plus event interleaving)
-    # ------------------------------------------------------------------
-
-    def run(self) -> ChaosReport:
-        events = list(self.schedule.events)
-        ei = 0
-        results: List[RecurrenceResult] = []
-        for recurrence in range(1, self.config.num_windows + 1):
-            due = self.query.execution_time(recurrence)
-            while (
-                self.cursor < len(self.pending)
-                and self.pending[self.cursor][0].t_end <= due + 1e-9
-            ):
-                t_next = self.pending[self.cursor][0].t_end
-                if ei < len(events) and events[ei].at <= t_next + 1e-9:
-                    self.apply(events[ei])
-                    ei += 1
-                    # Re-evaluate: an ingest-burst may have moved the cursor.
-                    continue
-                self.runtime.ingest(*self.pending[self.cursor])
-                self.cursor += 1
-            while ei < len(events) and events[ei].at <= due + 1e-9:
-                self.apply(events[ei])
-                ei += 1
-            result = self.runtime.run_recurrence(self.query.name, recurrence)
-            results.append(result)
-            if result.degraded:
-                self.report.degraded_windows.append(recurrence)
-            self.check_now(f"after window {recurrence}")
-        # Leftover events (e.g. the recover half of a late kill).
-        while ei < len(events):
-            self.apply(events[ei])
-            ei += 1
-        # Worker faults armed too late to be consumed must not leak
-        # into whatever runs next on a shared backend (the next seed's
-        # fault-free baseline, say) — output-neutral, but noisy.
-        drain = getattr(self.runtime.backend, "drain_worker_faults", None)
-        if drain is not None:
-            drain()
-
-        self.report.series = SeriesResult(
-            label=self.label,
-            tracer=self.runtime.tracer,
-            runtime_counters=self.runtime.counters.as_dict(),
-            windows=[
-                WindowMetrics(
-                    recurrence=r.recurrence,
-                    due_time=r.due_time,
-                    finish_time=r.finish_time,
-                    response_time=r.response_time,
-                    phases=r.phase_times,
-                    output_pairs=len(r.output),
-                )
-                for r in results
-            ],
-            output_digests=[
-                tuple(sorted(map(repr, r.output))) for r in results
-            ],
-        )
-        return self.report
-
-
-def run_chaos_series(
-    config: ExperimentConfig,
-    schedule: ChaosSchedule,
-    *,
-    label: str = "chaos",
-    workload: Optional[Mapping] = None,
-    check: bool = True,
-    tracer: Optional[Tracer] = None,
-    backend=None,
-    reuse_store=None,
-) -> ChaosReport:
-    """Run ``config``'s workload on Redoop under a chaos schedule.
-
-    Parameters
-    ----------
-    config:
-        The experiment (same type the benchmark harness uses).
-    schedule:
-        The fault composition; its seed drives every random choice the
-        injections make, so a run replays exactly.
-    workload:
-        Pre-built batches (share one workload across the fault-free and
-        chaos runs of a differential comparison).
-    check:
-        Run the structural invariant checker after every injection and
-        every recurrence (on by default; the cost is trivial).
-    reuse_store:
-        Optional cross-query :class:`~repro.reuse.ReuseStore` attached
-        to the chaos run's runtime — the reuse tier must hold its
-        digests under fault injection too (invariant 8 then also
-        audits the store's backing files).
+    Random choices (which node dies, which caches are hit) draw from the
+    runtime's ``FaultInjector``. ``ingest(count)`` delivers up to
+    ``count`` pending batches early and returns how many it delivered;
+    without it an ``ingest-burst`` is skipped.
     """
-    run = _ChaosRun(
-        config,
-        schedule,
-        label=label,
-        workload=workload,
-        check=check,
-        tracer=tracer,
-        backend=backend,
-        reuse_store=reuse_store,
+    runtime = recovery.runtime
+    cluster = runtime.cluster
+    injector = runtime.faults
+    kind = event.kind
+    when = max(cluster.clock.now, event.at)
+    if kind == "task-kill":
+        injector.task_failure_prob = event.prob
+    elif kind == "task-exhaust":
+        injector.doom(event.doom)
+    elif kind == "node-kill":
+        live = cluster.live_node_ids()
+        if len(live) <= 1:
+            return False  # never kill the last node
+        node_id = (
+            event.node_id
+            if event.node_id is not None
+            else injector.pick_node_victim(live)
+        )
+        if not cluster.node(node_id).alive:
+            return False
+        recovery.fail_node(node_id)
+    elif kind == "node-recover":
+        # No node_id: revive the longest-dead node.
+        node_id = event.node_id
+        if node_id is None and recovery.failed_nodes:
+            node_id = recovery.failed_nodes[0]
+        if node_id is None or cluster.node(node_id).alive:
+            return False
+        recovery.recover_node(node_id)
+    elif kind == "cache-loss":
+        recovery.inject_cache_failures(
+            injector, fraction=event.fraction, cache_type=event.cache_type
+        )
+    elif kind == "pane-loss":
+        recovery.inject_pane_cache_failures(injector, fraction=event.fraction)
+    elif kind == "cache-corrupt":
+        recovery.inject_cache_corruption(
+            injector, fraction=event.fraction, cache_type=event.cache_type
+        )
+    elif kind == "slow-node":
+        if not cluster.node(event.node_id).alive:
+            return False
+        cluster.set_node_speed(event.node_id, event.speed)
+    elif kind == "ingest-burst":
+        if ingest is None or ingest(event.count) == 0:
+            return False
+    else:
+        # worker-kill / worker-hang: real process faults. Arm the
+        # supervised backend so the next first-attempt pool submissions
+        # crash or hang inside an actual worker; skipped on backends
+        # that cannot host them (serial, or a hang without a batch
+        # deadline to reap it).
+        backend = runtime.backend
+        inject = getattr(backend, "inject_worker_faults", None)
+        if inject is None or not getattr(backend, "parallel", False):
+            return False
+        try:
+            inject("kill" if kind == "worker-kill" else "hang", count=event.count or 1)
+        except ValueError:
+            return False
+    runtime.counters.increment("chaos.events_injected")
+    runtime.tracer.instant(
+        "chaos.event",
+        CAT_CHAOS,
+        time=when,
+        node_id=event.node_id,
+        kind=kind,
+        detail=event.describe(),
     )
-    return run.run()
+    return True

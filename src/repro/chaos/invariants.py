@@ -9,8 +9,8 @@ node, or a ready bit claiming ``CACHE_AVAILABLE`` with no backing
 entry, is exactly the kind of drift that turns into a silently wrong
 window three recurrences later.
 
-:func:`check_invariants` is run by the chaos driver after every
-injected event and after every recurrence. It returns human-readable
+:func:`check_invariants` is run by ``run_redoop_series`` under a chaos
+schedule, after every applied event and after every recurrence. It returns human-readable
 violation strings (empty list = consistent) rather than raising, so a
 sweep can collect everything that is wrong at once.
 

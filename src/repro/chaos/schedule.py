@@ -1,10 +1,12 @@
 """Declarative, seeded, replayable fault schedules.
 
 A :class:`ChaosSchedule` is a sorted list of :class:`ChaosEvent`s, each
-pinned to a virtual time. The driver applies an event as soon as the
-simulation's ingest/execute loop passes its ``at`` time — between batch
-arrivals, not just at window boundaries — so faults land mid-recurrence
-the way real failures do.
+pinned to a virtual time. ``run_redoop_series(config, schedule=...)``
+applies an event as soon as its ingest/execute loop passes its ``at``
+time — between batch arrivals, not just at window boundaries — so
+faults land mid-recurrence the way real failures do. A batch ending at
+``t`` lands before an event at exactly ``t``; an event later than the
+last window's due time is never applied.
 
 Schedules serialise to JSON (:meth:`ChaosSchedule.to_json`) so a failing
 randomized run can be attached to a CI artifact and replayed bit-for-bit
@@ -27,6 +29,7 @@ EVENT_KINDS = (
     "node-kill",       # fail a slave node (slots, local caches, replicas)
     "node-recover",    # bring a failed node back, empty
     "cache-loss",      # destroy a fraction of live caches (rollback applies)
+    "pane-loss",       # destroy every cache of a fraction of panes (Fig. 9)
     "cache-corrupt",   # silently tamper a fraction of live caches
     "slow-node",       # straggler: change one node's relative speed
     "ingest-burst",    # deliver the next N batches ahead of schedule
@@ -49,6 +52,7 @@ class ChaosEvent:
     node-kill      ``node_id`` (``None``: seeded pick among live nodes)
     node-recover   ``node_id`` (``None``: the longest-dead node)
     cache-loss     ``fraction``, ``cache_type`` (``None`` = both)
+    pane-loss      ``fraction`` (of panes; all their caches go)
     cache-corrupt  ``fraction``, ``cache_type``
     slow-node      ``node_id``, ``speed`` (1.0 restores full speed)
     ingest-burst   ``count`` (batches delivered early)
@@ -86,8 +90,15 @@ class ChaosEvent:
             raise ValueError("task-kill needs prob")
         if self.kind == "task-exhaust" and not self.doom:
             raise ValueError("task-exhaust needs a doom task-key substring")
-        if self.kind in ("cache-loss", "cache-corrupt") and self.fraction is None:
+        if (
+            self.kind in ("cache-loss", "cache-corrupt", "pane-loss")
+            and self.fraction is None
+        ):
             raise ValueError(f"{self.kind} needs fraction")
+        for name in ("fraction", "prob"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.kind == "slow-node" and (self.node_id is None or self.speed is None):
             raise ValueError("slow-node needs node_id and speed")
         if self.kind == "ingest-burst" and not self.count:

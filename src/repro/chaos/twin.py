@@ -40,7 +40,7 @@ from ..core.recovery import RecoveryManager
 from ..exec import ExecBackend
 from ..reuse import ReuseStore
 from ..trace import Tracer
-from .driver import run_chaos_series
+from .driver import apply_event
 from .schedule import ChaosEvent, ChaosSchedule
 
 __all__ = ["Arm", "ArmRun", "TwinReport", "twin_run"]
@@ -174,9 +174,9 @@ def twin_run(
     An :class:`~repro.bench.harness.ExperimentConfig` runs as one query
     over one shared generated workload; each arm gets an independent,
     identically-seeded cluster, so the arm's settings are the only
-    difference between runs. Arms with a schedule go through the chaos
-    driver, which also checks the structural invariants after every
-    injection and recurrence. A
+    difference between runs. An arm's schedule runs through
+    ``run_redoop_series(schedule=...)``, which also checks the
+    structural invariants after every injection and recurrence. A
     :class:`~repro.bench.service.ServiceScenario` drives the
     multi-tenant server, applying the schedule's explicit-node
     ``node-kill`` / ``node-recover`` events as virtual time passes
@@ -224,18 +224,10 @@ def _run_series(
 ) -> ArmRun:
     backend = arm.backend() if arm.backend is not None else None
     try:
-        if arm.schedule is None:
-            series = run_redoop_series(
-                config, label=arm.label, workload=workload,
-                backend=backend, reuse_store=arm.store,
-            )
-            chaos = None
-        else:
-            chaos = run_chaos_series(
-                config, arm.schedule, label=arm.label, workload=workload,
-                backend=backend, reuse_store=arm.store,
-            )
-            series = chaos.series
+        series = run_redoop_series(
+            config, label=arm.label, schedule=arm.schedule, workload=workload,
+            backend=backend, reuse_store=arm.store,
+        )
     finally:
         if backend is not None:
             backend.close()
@@ -247,11 +239,11 @@ def _run_series(
                 for w, d in zip(series.windows, series.output_digests)
             ]
         },
-        degraded={(query, w) for w in chaos.degraded_windows} if chaos else set(),
+        degraded={(query, w) for w in series.degraded_windows},
         counters=series.runtime_counters,
         tracer=series.tracer,
-        events_applied=list(chaos.events_applied) if chaos else [],
-        violations=list(chaos.violations) if chaos else [],
+        events_applied=series.events_applied,
+        violations=series.violations,
         series=series,
     )
 
@@ -282,14 +274,8 @@ def _run_service(
             # Killing a dead node or recovering a live one is a no-op.
             while events and events[0].at <= now + 1e-9:
                 event = events.pop(0)
-                alive = server.runtime.cluster.node(event.node_id).alive
-                if event.kind == "node-kill" and alive:
-                    recovery.fail_node(event.node_id)
-                elif event.kind == "node-recover" and not alive:
-                    recovery.recover_node(event.node_id)
-                else:
-                    continue
-                applied.append(event.describe())
+                if apply_event(event, recovery):
+                    applied.append(event.describe())
 
         drive_scenario(scenario, server, pace=pace if events else None)
     finally:

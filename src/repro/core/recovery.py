@@ -53,6 +53,9 @@ class RecoveryManager:
 
     def __init__(self, runtime: RedoopRuntime) -> None:
         self.runtime = runtime
+        #: Nodes failed through :meth:`fail_node` and not yet recovered,
+        #: oldest failure first.
+        self.failed_nodes: List[int] = []
 
     # ------------------------------------------------------------------
     # inventory
@@ -139,9 +142,9 @@ class RecoveryManager:
         return ("__corrupt__", payload)
 
     def inject_pane_cache_failures(
-        self, injector: FaultInjector
+        self, injector: FaultInjector, *, fraction: float
     ) -> List[LostCache]:
-        """Destroy all caches of a random fraction of *panes* (Fig. 9).
+        """Destroy all caches of a random ``fraction`` of *panes* (Fig. 9).
 
         The paper's fault-tolerance experiment removes cached
         intermediate data at pane granularity: a victim pane loses its
@@ -152,7 +155,7 @@ class RecoveryManager:
         """
         pool = self.live_caches()
         pids = sorted({c.pid for c in pool})
-        victims = set(injector.pick_cache_victims(pids))
+        victims = set(injector.pick_cache_victims(pids, fraction=fraction))
         destroyed = [c for c in pool if c.pid in victims]
         for victim in destroyed:
             self.destroy_cache(victim)
@@ -162,28 +165,17 @@ class RecoveryManager:
         self,
         injector: FaultInjector,
         *,
+        fraction: float,
         cache_type: Optional[int] = None,
-        fraction: Optional[float] = None,
     ) -> List[LostCache]:
-        """Destroy a random fraction of live caches (Fig. 9 experiment).
+        """Destroy a random ``fraction`` of live cache partitions.
 
-        Parameters
-        ----------
-        injector:
-            Supplies ``cache_loss_fraction`` and the seeded RNG.
-        cache_type:
-            Restrict victims to one cache type (e.g. only reduce-output
-            caches); ``None`` targets both types.
-        fraction:
-            Override the injector's ``cache_loss_fraction`` for this
-            round (chaos events carry their own fractions).
+        Unlike :meth:`inject_pane_cache_failures` a pane can lose some
+        partitions and keep others, or lose only its reduce-output
+        caches (``cache_type``; ``None`` targets both types). The
+        injector supplies the seeded RNG.
         """
-        pool = self.live_caches()
-        if cache_type is not None:
-            pool = [c for c in pool if c.cache_type == cache_type]
-        by_key = {c.key: c for c in pool}
-        victims = injector.pick_cache_victims(sorted(by_key), fraction=fraction)
-        destroyed = [by_key[k] for k in victims]
+        destroyed = self._pick(injector, fraction, cache_type)
         for victim in destroyed:
             self.destroy_cache(victim)
         return destroyed
@@ -192,8 +184,8 @@ class RecoveryManager:
         self,
         injector: FaultInjector,
         *,
+        fraction: float,
         cache_type: Optional[int] = None,
-        fraction: Optional[float] = None,
     ) -> List[LostCache]:
         """Silently corrupt a random fraction of live caches.
 
@@ -202,15 +194,21 @@ class RecoveryManager:
         content checksums, when (and only when) the poisoned entry is
         next read.
         """
-        pool = self.live_caches()
-        if cache_type is not None:
-            pool = [c for c in pool if c.cache_type == cache_type]
-        by_key = {c.key: c for c in pool}
-        victims = injector.pick_corruption_victims(sorted(by_key), fraction=fraction)
-        corrupted = [by_key[k] for k in victims]
+        corrupted = self._pick(injector, fraction, cache_type)
         for victim in corrupted:
             self.corrupt_cache(victim)
         return corrupted
+
+    def _pick(
+        self, injector: FaultInjector, fraction: float, cache_type: Optional[int]
+    ) -> List[LostCache]:
+        by_key = {
+            c.key: c
+            for c in self.live_caches()
+            if cache_type is None or c.cache_type == cache_type
+        }
+        victims = injector.pick_cache_victims(sorted(by_key), fraction=fraction)
+        return [by_key[k] for k in victims]
 
     # ------------------------------------------------------------------
     # node failures
@@ -226,6 +224,7 @@ class RecoveryManager:
         """
         runtime = self.runtime
         runtime.cluster.fail_node(node_id)
+        self.failed_nodes.append(node_id)
         registry = runtime.registries().get(node_id)
         if registry is not None:
             registry.forget_all()
@@ -246,6 +245,8 @@ class RecoveryManager:
         """Bring a failed node back with empty local state."""
         runtime = self.runtime
         runtime.cluster.recover_node(node_id)
+        if node_id in self.failed_nodes:
+            self.failed_nodes.remove(node_id)
         runtime.counters.increment("faults.nodes_recovered")
         runtime.tracer.instant(
             "node.rejoined",

@@ -23,10 +23,12 @@ Fallback ladder
 ---------------
 :class:`ProcessPoolBackend` probes each batch for picklability (the
 function *and every call's* arguments must survive ``pickle.dumps``).
-Non-picklable jobs fall back to a thread pool (counted in
-``exec.pickle_fallbacks``); an environment where process pools cannot
-start at all (sandboxes without working semaphores) degrades to
-threads permanently (``exec.process_pool_unavailable``).
+Non-picklable jobs run inline on the calling thread, exactly as the
+serial backend would (counted in ``exec.pickle_fallbacks``); in an
+environment where process pools cannot start at all (sandboxes without
+working semaphores) every batch runs inline
+(``exec.process_pool_unavailable``). Task bodies are pure Python, so a
+thread pool would only have interleaved them under the GIL.
 
 Supervision
 -----------
@@ -56,15 +58,10 @@ import os
 import pickle
 import threading
 import time
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import Executor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .supervisor import (
-    SupervisionConfig,
-    WorkerFaultError,
-    WorkerSupervisor,
-    _DoneCounter,
-)
+from .supervisor import SupervisionConfig, WorkerFaultError, WorkerSupervisor
 from .worker_faults import WorkerFaultPlan
 
 __all__ = [
@@ -88,17 +85,17 @@ TaskCall = Tuple[tuple, dict]
 CAT_EXEC = "exec"
 
 
-def _timed_invoke(fn: Callable[..., Any], args: tuple, kwargs: dict):
-    """Run one task and report which worker ran it and for how long.
-
-    Module-level so it pickles into pool workers. Wall time is measured
-    inside the worker (``perf_counter`` deltas are process-local but
-    durations compare fine); the worker identity is the (pid, thread)
-    pair, mapped to a dense lane index by the coordinator.
-    """
-    t0 = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return (os.getpid(), threading.get_ident(), time.perf_counter() - t0, result)
+def _run_inline(
+    fn: Callable[..., Any], calls: Sequence[TaskCall]
+) -> Tuple[List[Any], float]:
+    """Run every call on the calling thread; return ``(results, busy)``."""
+    results: List[Any] = []
+    busy = 0.0
+    for args, kwargs in calls:
+        t0 = time.perf_counter()
+        results.append(fn(*args, **kwargs))
+        busy += time.perf_counter() - t0
+    return results, busy
 
 
 class ExecBackend:
@@ -218,12 +215,7 @@ class SerialBackend(ExecBackend):
     parallel = False
 
     def _execute(self, fn, calls):
-        results: List[Any] = []
-        busy = 0.0
-        for args, kwargs in calls:
-            t0 = time.perf_counter()
-            results.append(fn(*args, **kwargs))
-            busy += time.perf_counter() - t0
+        results, busy = _run_inline(fn, calls)
         return results, {0: (len(calls), busy)}, "serial", 0
 
 
@@ -235,8 +227,7 @@ class ProcessPoolBackend(ExecBackend):
     :class:`~repro.exec.supervisor.WorkerSupervisor`, which gathers
     every batch under the deadline/retry/rebuild/quarantine ladder.
     Each batch is probed for picklability; jobs carrying unpicklable
-    payloads run on a thread pool instead so no workload is ever
-    rejected. Results come back in submission order whichever path ran
+    payloads run inline instead so no workload is ever rejected. Results come back in submission order whichever path ran
     them, which is the whole determinism story: completion order — and
     recovery — never matters.
     """
@@ -265,7 +256,6 @@ class ProcessPoolBackend(ExecBackend):
                 backoff_base=backoff_base,
             ),
         )
-        self._thread_pool: Optional[Executor] = None
         #: (pid, thread ident) -> dense lane index, stable per backend.
         self._lane_ids: Dict[Tuple[int, int], int] = {}
         #: Stats of the last supervised batch, for ``_account``.
@@ -286,29 +276,9 @@ class ProcessPoolBackend(ExecBackend):
     def supervision(self) -> SupervisionConfig:
         return self._supervisor.config
 
-    def _threads(self) -> Executor:
-        if self._thread_pool is None:
-            self._thread_pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-exec"
-            )
-        return self._thread_pool
-
     def close(self) -> None:
-        """Release both pools. Idempotent, and exception-safe: a
-        failing process-pool shutdown never leaks the thread pool."""
-        threads, self._thread_pool = self._thread_pool, None
-        errors: List[BaseException] = []
-        try:
-            self._supervisor.close()
-        except BaseException as exc:  # noqa: B036 - re-raised below
-            errors.append(exc)
-        if threads is not None:
-            try:
-                threads.shutdown(wait=True, cancel_futures=True)
-            except BaseException as exc:  # noqa: B036 - re-raised below
-                errors.append(exc)
-        if errors:
-            raise errors[0]
+        """Release the process pool (idempotent)."""
+        self._supervisor.close()
 
     def pool_healthy(self) -> bool:
         """Chaos-invariant probe: no broken pool left behind."""
@@ -335,13 +305,12 @@ class ProcessPoolBackend(ExecBackend):
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        # Live executors cannot (and must not) ride a checkpoint; a
-        # restored backend re-creates them lazily on first use, with
+        # A live pool cannot (and must not) ride a checkpoint; a
+        # restored backend re-creates it lazily on first use, with
         # lanes reset and pool availability re-probed (a checkpoint
         # taken on a degraded sandbox must not pin a healthy restore
-        # host to threads). The supervisor strips its own pool handle
-        # and transient fault state.
-        state["_thread_pool"] = None
+        # host to inline execution). The supervisor strips its own
+        # pool handle and transient fault state.
         state["_lane_ids"] = {}
         state["_last_stats"] = None
         return state
@@ -380,34 +349,12 @@ class ProcessPoolBackend(ExecBackend):
                     have_tasks, have_busy = lanes.get(lane, (0, 0.0))
                     lanes[lane] = (have_tasks + tasks, have_busy + busy)
                 return raw, lanes, "process", queue_peak
-            mode = "thread-degraded"
+            mode = "inline-degraded"
         else:
-            mode = "thread"
-        return self._execute_threads(fn, calls, mode)
-
-    def _execute_threads(self, fn, calls, mode):
-        pool = self._threads()
-        futures = []
-        done = _DoneCounter()
-        queue_peak = 0
-        for args, kwargs in calls:
-            future = pool.submit(_timed_invoke, fn, args, kwargs)
-            future.add_done_callback(done.hit)
-            futures.append(future)
-            # Incremental pending count: O(1) per submit instead of the
-            # O(n) future scan that made long batches quadratic.
-            in_flight = len(futures) - done.value()
-            queue_peak = max(queue_peak, max(0, in_flight - self.workers))
-
-        results: List[Any] = []
-        lanes: Dict[int, Tuple[int, float]] = {}
-        for future in futures:  # submission order == result order
-            pid, ident, task_wall, result = future.result()
-            lane = self._lane((pid, ident))
-            tasks, busy = lanes.get(lane, (0, 0.0))
-            lanes[lane] = (tasks + 1, busy + task_wall)
-            results.append(result)
-        return results, lanes, mode, queue_peak
+            mode = "inline"
+        results, busy = _run_inline(fn, calls)
+        lane = self._lane((os.getpid(), threading.get_ident()))
+        return results, {lane: (len(calls), busy)}, mode, 0
 
     def run_tasks(self, fn, calls, *, phase="task", counters=None,
                   tracer=None, now=None):
@@ -452,9 +399,9 @@ class ProcessPoolBackend(ExecBackend):
     def _account(self, phase, n_tasks, wall, mode, lanes, queue_peak,
                  counters, tracer, now):
         if counters is not None:
-            if mode == "thread":
+            if mode == "inline":
                 counters.increment("exec.pickle_fallbacks")
-            elif mode == "thread-degraded":
+            elif mode == "inline-degraded":
                 counters.increment("exec.process_pool_unavailable")
         stats, self._last_stats = self._last_stats, None
         self._flush_recovery(stats, phase, counters, tracer, now)

@@ -174,7 +174,7 @@ WorkerKey = Tuple[int, int]
 class WorkerSupervisor:
     """Owns the process pool and runs batches under the recovery ladder.
 
-    The owning backend keeps the thread-pool fallback and the counter /
+    The owning backend keeps the inline fallback and the counter /
     trace plumbing; the supervisor keeps everything that can break: the
     executor handle, the armed worker faults, and the retry loop.
     """

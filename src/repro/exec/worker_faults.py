@@ -70,8 +70,9 @@ def faulty_invoke(
 ):
     """Run one task in a pool worker, applying ``fault`` first.
 
-    Module-level so it pickles into workers. Mirrors the payload of
-    ``backends._timed_invoke``: ``(pid, thread ident, wall, result)``.
+    Module-level so it pickles into workers. Returns
+    ``(pid, thread ident, wall, result)``; the coordinator maps the
+    (pid, thread) pair to a dense lane index.
     A ``kill`` never returns — ``os._exit`` skips ``atexit`` handlers
     and ``finally`` blocks, so the coordinator sees a broken pool, not
     a tidy exception. A ``hang`` sleeps past the batch deadline; the

@@ -6,8 +6,9 @@ task-retry machinery for task failures. This module provides both,
 driven by a seeded RNG so experiments are exactly repeatable, plus the
 knobs the chaos harness (:mod:`repro.chaos`) composes into mid-flight
 fault schedules: forced attempt exhaustion (:meth:`FaultInjector.doom`)
-and cache *corruption* victims (distinct from cache loss — the file
-survives but its content no longer matches its checksum).
+and seeded victim picks for cache loss, cache *corruption* (the file
+survives but its content no longer matches its checksum) and node
+kills.
 """
 
 from __future__ import annotations
@@ -103,13 +104,6 @@ class FaultInjector:
         ``mapred.map.max.attempts``, default 4).
     failed_attempt_fraction:
         Fraction of the task duration elapsed when the failure strikes.
-    cache_loss_fraction:
-        Fraction of cache entries destroyed by :meth:`pick_cache_victims`
-        (the Fig. 9 experiment removes caches at each window start).
-    cache_corruption_fraction:
-        Fraction of cache entries silently corrupted by
-        :meth:`pick_corruption_victims` (content tampered in place; the
-        registry detects the mismatch on read).
     seed:
         RNG seed.
     """
@@ -117,8 +111,6 @@ class FaultInjector:
     task_failure_prob: float = 0.0
     max_attempts: int = 4
     failed_attempt_fraction: float = 0.5
-    cache_loss_fraction: float = 0.0
-    cache_corruption_fraction: float = 0.0
     seed: int = 0
     _rng: random.Random = field(init=False, repr=False)
     _doomed: Set[str] = field(init=False, repr=False)
@@ -126,10 +118,6 @@ class FaultInjector:
     def __post_init__(self) -> None:
         if not 0.0 <= self.task_failure_prob <= 1.0:
             raise ValueError("task_failure_prob must be in [0, 1]")
-        if not 0.0 <= self.cache_loss_fraction <= 1.0:
-            raise ValueError("cache_loss_fraction must be in [0, 1]")
-        if not 0.0 <= self.cache_corruption_fraction <= 1.0:
-            raise ValueError("cache_corruption_fraction must be in [0, 1]")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         if not 0.0 < self.failed_attempt_fraction <= 1.0:
@@ -204,29 +192,19 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def pick_cache_victims(
-        self, cache_ids: Sequence[str], *, fraction: Optional[float] = None
+        self, cache_ids: Sequence[str], *, fraction: float
     ) -> List[str]:
-        """Choose which cache entries to destroy this round.
+        """Choose which cache entries to destroy or corrupt this round.
 
-        Selects ``fraction`` (default: ``cache_loss_fraction``) of
-        ``cache_ids`` (at least one when the fraction is non-zero and
-        any caches exist), sampling without replacement.
+        Selects ``fraction`` of ``cache_ids`` (at least one when the
+        fraction is non-zero and any caches exist), sampling without
+        replacement.
         """
-        if fraction is None:
-            fraction = self.cache_loss_fraction
         if fraction == 0.0 or not cache_ids:
             return []
         k = max(1, round(len(cache_ids) * fraction))
         k = min(k, len(cache_ids))
         return sorted(self._rng.sample(list(cache_ids), k))
-
-    def pick_corruption_victims(
-        self, cache_ids: Sequence[str], *, fraction: Optional[float] = None
-    ) -> List[str]:
-        """Choose which cache entries to silently corrupt this round."""
-        if fraction is None:
-            fraction = self.cache_corruption_fraction
-        return self.pick_cache_victims(cache_ids, fraction=fraction)
 
     def pick_node_victim(self, node_ids: Sequence[int]) -> int:
         """Choose a node to kill (for slave-failure experiments)."""

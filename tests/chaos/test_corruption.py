@@ -74,7 +74,8 @@ class TestSelfHealing:
         corrupted, clean = warm_pair
         recovery = RecoveryManager(corrupted)
         recovery.inject_cache_corruption(
-            FaultInjector(cache_corruption_fraction=1.0, seed=4),
+            FaultInjector(seed=4),
+            fraction=1.0,
             cache_type=REDUCE_INPUT,
         )
         got = corrupted.run_recurrence("wc", 2)
@@ -85,7 +86,8 @@ class TestSelfHealing:
         corrupted, clean = warm_pair
         recovery = RecoveryManager(corrupted)
         victims = recovery.inject_cache_corruption(
-            FaultInjector(cache_corruption_fraction=1.0, seed=4),
+            FaultInjector(seed=4),
+            fraction=1.0,
             cache_type=REDUCE_OUTPUT,
         )
         assert victims

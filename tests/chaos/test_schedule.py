@@ -28,11 +28,43 @@ class TestEventValidation:
             ("slow-node", {"node_id": 1}, "speed"),
             ("slow-node", {"speed": 0.5}, "node_id"),
             ("ingest-burst", {}, "count"),
+            ("pane-loss", {}, "fraction"),
         ],
     )
     def test_required_params_enforced(self, kind, kwargs, missing):
         with pytest.raises(ValueError, match=kind):
             ChaosEvent(at=1.0, kind=kind, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kind,kwargs",
+        [
+            # A negative fraction used to destroy one cache (k = max(1, ...)),
+            # and one above 1 every cache; prob > 1 failed every attempt.
+            ("cache-loss", {"fraction": -0.5}),
+            ("cache-loss", {"fraction": 1.5}),
+            ("cache-corrupt", {"fraction": 1.01}),
+            ("pane-loss", {"fraction": -0.1}),
+            ("task-kill", {"prob": 1.5}),
+            ("task-kill", {"prob": -0.2}),
+        ],
+    )
+    def test_fraction_and_prob_outside_unit_interval_rejected(self, kind, kwargs):
+        with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
+            ChaosEvent(at=1.0, kind=kind, **kwargs)
+
+    def test_unit_interval_bounds_accepted(self):
+        for value in (0.0, 1.0):
+            ChaosEvent(at=1.0, kind="cache-loss", fraction=value)
+            ChaosEvent(at=1.0, kind="pane-loss", fraction=value)
+            ChaosEvent(at=1.0, kind="task-kill", prob=value)
+
+    def test_replayed_json_is_range_checked(self):
+        text = (
+            '{"seed": 1, "events": '
+            '[{"at": 5.0, "kind": "cache-loss", "fraction": -0.5}]}'
+        )
+        with pytest.raises(ValueError, match="fraction must be in"):
+            ChaosSchedule.from_json(text)
 
     def test_node_kill_needs_nothing(self):
         ChaosEvent(at=0.0, kind="node-kill")

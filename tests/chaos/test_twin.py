@@ -70,10 +70,10 @@ class TestVerdictRules:
         ]
 
     def test_invariant_violation_fails(self, monkeypatch):
-        import repro.chaos.driver as driver
+        import repro.chaos.invariants as invariants
 
         monkeypatch.setattr(
-            driver, "check_invariants", lambda runtime: ["planted breakage"]
+            invariants, "check_invariants", lambda runtime: ["planted breakage"]
         )
         schedule = ChaosSchedule(
             seed=1, events=(ChaosEvent(at=45.0, kind="cache-loss", fraction=0.5),)

@@ -12,12 +12,12 @@ from functools import partial
 
 import pytest
 
+from repro.bench.harness import run_redoop_series
 from repro.chaos import (
     Arm,
     ChaosEvent,
     ChaosSchedule,
     EVENT_KINDS,
-    run_chaos_series,
     twin_run,
 )
 from repro.exec import ProcessPoolBackend, make_backend
@@ -91,17 +91,17 @@ class TestDriverApplication:
     def test_serial_backend_skips_worker_events(self):
         # The default runtime backend is serial: real worker faults
         # have nowhere to land, so the events report applied=False.
-        report = run_chaos_series(mini_config(), worker_schedule())
-        assert report.events_applied == []
-        assert report.ok, report.violations
+        series = run_redoop_series(mini_config(), schedule=worker_schedule())
+        assert series.events_applied == []
+        assert series.violations == []
 
     def test_process_backend_consumes_worker_events(self):
         backend = ProcessPoolBackend(
             workers=2, batch_deadline=2.0, backoff_base=0.01
         )
         try:
-            report = run_chaos_series(
-                mini_config(), worker_schedule(), backend=backend
+            series = run_redoop_series(
+                mini_config(), schedule=worker_schedule(), backend=backend
             )
             # Leftover armed faults are drained at end of run, so a
             # shared backend cannot leak faults into the next series.
@@ -109,11 +109,11 @@ class TestDriverApplication:
             assert backend.pool_healthy()
         finally:
             backend.close()
-        assert len(report.events_applied) == 2
-        assert any("worker-kill" in d for d in report.events_applied)
-        assert any("worker-hang" in d for d in report.events_applied)
-        assert report.series.runtime_counters.get("exec.worker_lost", 0) > 0
-        assert report.ok, report.violations
+        assert len(series.events_applied) == 2
+        assert any("worker-kill" in d for d in series.events_applied)
+        assert any("worker-hang" in d for d in series.events_applied)
+        assert series.runtime_counters.get("exec.worker_lost", 0) > 0
+        assert series.violations == []
 
 
 class TestWorkerFaultDifferential:
@@ -169,17 +169,16 @@ class TestWorkerFaultDifferential:
 
     def test_armed_but_unexercised_run_fails_the_verdict(self):
         # A worker event that never actually lost a worker proves
-        # nothing: this one is armed after the last window, so the
-        # end-of-run drain discards it unconsumed. The verdict must
-        # refuse to claim fault coverage even though every digest
-        # matches.
+        # nothing: this one falls after the last window's due time, so
+        # it is never applied. The verdict must refuse to claim fault
+        # coverage even though every digest matches.
         sched = ChaosSchedule(
             seed=2, events=(ChaosEvent(at=500.0, kind="worker-kill"),)
         )
         report = worker_twin(
             mini_config(num_windows=2), sched, batch_deadline=2.0
         )
-        assert report.variants[0].events_applied == ["t=500s worker-kill"]
+        assert report.variants[0].events_applied == []
         assert report.mismatches == []
         assert report.unexercised == ["worker-chaos: exec.worker_lost"]
         assert not report.ok

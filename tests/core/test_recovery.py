@@ -80,8 +80,8 @@ class TestCacheFailureRecovery:
     def test_window_output_correct_after_cache_loss(self, warm_runtime):
         runtime, records = warm_runtime
         recovery = RecoveryManager(runtime)
-        injector = FaultInjector(cache_loss_fraction=0.5, seed=1)
-        recovery.inject_pane_cache_failures(injector)
+        injector = FaultInjector(seed=1)
+        recovery.inject_pane_cache_failures(injector, fraction=0.5)
         result = runtime.run_recurrence("wc", 2)
         start, end = result.window_bounds["S1"]
         expected = PyCounter(r.value for r in records if start <= r.ts < end)
@@ -90,8 +90,8 @@ class TestCacheFailureRecovery:
     def test_lost_panes_remapped(self, warm_runtime):
         runtime, _ = warm_runtime
         recovery = RecoveryManager(runtime)
-        injector = FaultInjector(cache_loss_fraction=1.0, seed=1)
-        destroyed = recovery.inject_pane_cache_failures(injector)
+        injector = FaultInjector(seed=1)
+        destroyed = recovery.inject_pane_cache_failures(injector, fraction=1.0)
         assert destroyed
         result = runtime.run_recurrence("wc", 2)
         # All 4 window panes must be re-mapped (no cache survives).
@@ -101,8 +101,8 @@ class TestCacheFailureRecovery:
     def test_caches_reconstructed_after_loss(self, warm_runtime):
         runtime, _ = warm_runtime
         recovery = RecoveryManager(runtime)
-        injector = FaultInjector(cache_loss_fraction=1.0, seed=1)
-        recovery.inject_pane_cache_failures(injector)
+        injector = FaultInjector(seed=1)
+        recovery.inject_pane_cache_failures(injector, fraction=1.0)
         runtime.run_recurrence("wc", 2)
         pids = {
             e.pid
@@ -121,8 +121,8 @@ class TestCacheFailureRecovery:
             runtime.run_recurrence("wc", 1)
             recovery = RecoveryManager(runtime)
             if fraction:
-                injector = FaultInjector(cache_loss_fraction=fraction, seed=1)
-                recovery.inject_pane_cache_failures(injector)
+                injector = FaultInjector(seed=1)
+                recovery.inject_pane_cache_failures(injector, fraction=fraction)
             return runtime.run_recurrence("wc", 2).response_time
 
         none = response_after_loss(0.0)
@@ -134,9 +134,9 @@ class TestCacheFailureRecovery:
     def test_type_filtered_injection(self, warm_runtime):
         runtime, _ = warm_runtime
         recovery = RecoveryManager(runtime)
-        injector = FaultInjector(cache_loss_fraction=1.0, seed=1)
+        injector = FaultInjector(seed=1)
         destroyed = recovery.inject_cache_failures(
-            injector, cache_type=REDUCE_OUTPUT
+            injector, fraction=1.0, cache_type=REDUCE_OUTPUT
         )
         assert destroyed
         assert all(c.cache_type == REDUCE_OUTPUT for c in destroyed)
@@ -259,8 +259,11 @@ class TestSeededInjection:
             feed(runtime, 70.0)
             runtime.run_recurrence("wc", 1)
             recovery = RecoveryManager(runtime)
-            injector = FaultInjector(cache_loss_fraction=0.5, seed=seed)
-            return [c.key for c in recovery.inject_cache_failures(injector)]
+            injector = FaultInjector(seed=seed)
+            return [
+                c.key
+                for c in recovery.inject_cache_failures(injector, fraction=0.5)
+            ]
 
         assert victims(7) == victims(7)
         assert victims(7) != victims(8)
@@ -271,16 +274,19 @@ class TestSeededInjection:
             feed(runtime, 70.0)
             runtime.run_recurrence("wc", 1)
             recovery = RecoveryManager(runtime)
-            injector = FaultInjector(cache_corruption_fraction=0.5, seed=seed)
-            return [c.key for c in recovery.inject_cache_corruption(injector)]
+            injector = FaultInjector(seed=seed)
+            return [
+                c.key
+                for c in recovery.inject_cache_corruption(injector, fraction=0.5)
+            ]
 
         assert victims(7) == victims(7)
 
     def test_fraction_override_wins(self, warm_runtime):
         runtime, _ = warm_runtime
         recovery = RecoveryManager(runtime)
-        # Injector says "lose nothing"; the per-event fraction says 100%.
-        injector = FaultInjector(cache_loss_fraction=0.0, seed=1)
+        # The call's fraction decides: 100% takes every partition.
+        injector = FaultInjector(seed=1)
         destroyed = recovery.inject_cache_failures(injector, fraction=1.0)
         assert len(destroyed) == 32
 
@@ -290,8 +296,8 @@ class TestSeededInjection:
             feed(runtime, 90.0)
             runtime.run_recurrence("wc", 1)
             recovery = RecoveryManager(runtime)
-            injector = FaultInjector(cache_loss_fraction=0.5, seed=seed)
-            recovery.inject_cache_failures(injector)
+            injector = FaultInjector(seed=seed)
+            recovery.inject_cache_failures(injector, fraction=0.5)
             result = runtime.run_recurrence("wc", 2)
             return tuple(sorted(map(repr, result.output)))
 

@@ -126,17 +126,41 @@ class TestCounters:
 
     def test_pickle_fallback_counts_and_still_computes(self):
         counters = Counters()
+        tracer = Tracer()
         backend = ProcessPoolBackend(workers=2)
         unpicklable = lambda x: x + 1  # noqa: E731 - deliberately a lambda
         try:
             out = backend.run_tasks(
                 unpicklable, [((i,), {}) for i in range(4)],
-                counters=counters,
+                counters=counters, tracer=tracer, now=0.0,
             )
+            # The batch ran inline: no process pool was ever started.
+            assert backend._pool is None
         finally:
             backend.close()
         assert out == [1, 2, 3, 4]
         assert counters.get("exec.pickle_fallbacks") == 1
+        batch = next(
+            e for e in tracer.events(category="exec") if e.name == "exec.batch"
+        )
+        assert batch.attrs["mode"] == "inline"
+        assert batch.attrs["queue_peak"] == 0
+
+    def test_unavailable_pool_runs_batches_inline(self):
+        counters = Counters()
+        backend = ProcessPoolBackend(workers=2)
+        backend._supervisor._unavailable = True  # a sandbox without pools
+        try:
+            for _ in range(2):
+                out = backend.run_tasks(
+                    square, [((i,), {}) for i in range(3)], counters=counters
+                )
+                assert out == [0, 1, 4]
+            assert backend._pool is None
+        finally:
+            backend.close()
+        assert counters.get("exec.process_pool_unavailable") == 2
+        assert counters.get("exec.pickle_fallbacks") == 0
 
     def test_pickle_probe_covers_the_whole_batch(self):
         # The fn and the first call are picklable; a *later* call is
@@ -190,7 +214,6 @@ class TestCheckpointPickling:
         assert isinstance(revived, ProcessPoolBackend)
         assert revived.workers == 2
         assert revived._pool is None
-        assert revived._thread_pool is None
         # And the revived backend still executes.
         try:
             assert revived.run_tasks(square, [((3,), {})]) == [9]
@@ -205,28 +228,6 @@ class TestLifecycle:
         backend.close()
         backend.close()  # second close is a no-op, not an error
         assert backend._pool is None
-        assert backend._thread_pool is None
-
-    def test_close_survives_a_failing_process_pool_shutdown(self):
-        # Exception-safety: the first pool's shutdown raising must not
-        # leak the second. The thread pool is torn down even when the
-        # supervisor's close explodes, and the error still surfaces.
-        backend = ProcessPoolBackend(workers=2)
-        backend.run_tasks(square, [((1,), {})])  # spin up process pool
-        unpicklable = lambda x: x  # noqa: E731 - forces the thread path
-        backend.run_tasks(unpicklable, [((1,), {})])
-        threads = backend._thread_pool
-        assert threads is not None
-
-        def explode():
-            raise RuntimeError("shutdown failed")
-
-        backend._supervisor.close()  # release the real pool first
-        backend._supervisor.close = explode
-        with pytest.raises(RuntimeError, match="shutdown failed"):
-            backend.close()
-        assert backend._thread_pool is None
-        assert threads._shutdown  # the second pool did not leak
 
     def test_restored_backend_reprobes_availability_and_resets_lanes(self):
         backend = ProcessPoolBackend(workers=2)
@@ -240,7 +241,7 @@ class TestLifecycle:
         finally:
             backend.close()
         # The checkpoint must not pin a healthy restore host to the
-        # thread fallback: availability is re-probed, lanes start dense.
+        # inline fallback: availability is re-probed, lanes start dense.
         assert revived._process_unavailable is False
         assert revived._lane_ids == {}
         try:

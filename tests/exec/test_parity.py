@@ -152,8 +152,6 @@ class TestChaosParity:
     def test_chaos_digests_match_across_backends(self, process_backend):
         """The *chaos* series itself is backend-deterministic: same
         schedule, same faults, same digests on serial and process."""
-        from repro.chaos import run_chaos_series
-
         config = mini_config("aggregation")
         schedule = ChaosSchedule(
             seed=5,
@@ -163,13 +161,11 @@ class TestChaosParity:
             ),
         )
         workload = build_workload(config)
-        serial = run_chaos_series(config, schedule, workload=workload)
-        parallel = run_chaos_series(
-            config, schedule, workload=workload, backend=process_backend
+        serial = run_redoop_series(config, schedule=schedule, workload=workload)
+        parallel = run_redoop_series(
+            config, schedule=schedule, workload=workload, backend=process_backend
         )
-        assert (
-            serial.series.output_digests == parallel.series.output_digests
-        )
+        assert serial.output_digests == parallel.output_digests
 
 
 class TestCheckpointParity:

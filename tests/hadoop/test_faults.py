@@ -15,8 +15,6 @@ class TestValidation:
         [
             {"task_failure_prob": -0.1},
             {"task_failure_prob": 1.1},
-            {"cache_loss_fraction": 1.5},
-            {"cache_corruption_fraction": -0.2},
             {"max_attempts": 0},
             {"failed_attempt_fraction": 0.0},
             {"failed_attempt_fraction": 1.5},
@@ -104,40 +102,34 @@ class TestPickling:
 
 class TestCacheFailures:
     def test_zero_fraction_picks_nothing(self):
-        inj = FaultInjector(cache_loss_fraction=0.0)
-        assert inj.pick_cache_victims(["a", "b"]) == []
+        inj = FaultInjector()
+        assert inj.pick_cache_victims(["a", "b"], fraction=0.0) == []
 
     def test_empty_pool_picks_nothing(self):
-        inj = FaultInjector(cache_loss_fraction=0.5)
-        assert inj.pick_cache_victims([]) == []
+        inj = FaultInjector()
+        assert inj.pick_cache_victims([], fraction=0.5) == []
 
     def test_at_least_one_victim_when_enabled(self):
-        inj = FaultInjector(cache_loss_fraction=0.01, seed=1)
-        assert len(inj.pick_cache_victims(["a", "b", "c"])) == 1
+        inj = FaultInjector(seed=1)
+        assert len(inj.pick_cache_victims(["a", "b", "c"], fraction=0.01)) == 1
 
     def test_fraction_respected(self):
-        inj = FaultInjector(cache_loss_fraction=0.5, seed=1)
+        inj = FaultInjector(seed=1)
         pool = [f"c{i}" for i in range(100)]
-        victims = inj.pick_cache_victims(pool)
+        victims = inj.pick_cache_victims(pool, fraction=0.5)
         assert len(victims) == 50
         assert set(victims) <= set(pool)
 
     def test_full_fraction_takes_all(self):
-        inj = FaultInjector(cache_loss_fraction=1.0, seed=1)
-        assert inj.pick_cache_victims(["a", "b"]) == ["a", "b"]
+        inj = FaultInjector(seed=1)
+        assert inj.pick_cache_victims(["a", "b"], fraction=1.0) == ["a", "b"]
 
     def test_fraction_override(self):
-        inj = FaultInjector(cache_loss_fraction=0.0, seed=1)
+        # Each call carries its own fraction; nothing carries over.
+        inj = FaultInjector(seed=1)
         pool = [f"c{i}" for i in range(10)]
         assert len(inj.pick_cache_victims(pool, fraction=0.3)) == 3
-
-    def test_corruption_victims_use_their_own_fraction(self):
-        inj = FaultInjector(cache_corruption_fraction=0.5, seed=2)
-        pool = [f"c{i}" for i in range(8)]
-        victims = inj.pick_corruption_victims(pool)
-        assert len(victims) == 4
-        assert set(victims) <= set(pool)
-        assert FaultInjector(seed=2).pick_corruption_victims(pool) == []
+        assert len(inj.pick_cache_victims(pool, fraction=0.6)) == 6
 
 
 class TestNodeVictim:

@@ -7,10 +7,13 @@ testbed; the assertions target orderings and rough factors only.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 pytestmark = pytest.mark.slow
 
+from repro.bench.experiments import fig9_schedules
 from repro.bench.harness import (
     ExperimentConfig,
     build_workload,
@@ -18,7 +21,6 @@ from repro.bench.harness import (
     run_redoop_series,
 )
 from repro.hadoop.config import ClusterConfig
-from repro.hadoop.faults import FaultInjector
 from repro.workloads.batches import paper_spike_windows
 
 #: A mid-size cluster: big enough that window jobs take multiple task
@@ -115,9 +117,7 @@ class TestFig9Shape:
         faulty = run_redoop_series(
             cfg,
             workload=workload,
-            cache_failure_injector=FaultInjector(
-                cache_loss_fraction=0.5, seed=2
-            ),
+            schedule=replace(fig9_schedules(cfg)["redoop(f)"], seed=2),
         )
         assert clean.total_response() < faulty.total_response()
         assert faulty.total_response() < hadoop.total_response()

@@ -44,7 +44,7 @@ def test_fifty_recurrences(inject_failures):
     )
     runtime.register_query(query, {"S1": 500_000.0})
     recovery = RecoveryManager(runtime)
-    injector = FaultInjector(cache_loss_fraction=0.3, seed=4)
+    injector = FaultInjector(seed=4)
 
     all_records = []
     batches_fed = 0
@@ -70,7 +70,7 @@ def test_fifty_recurrences(inject_failures):
     for k in range(1, RECURRENCES + 1):
         feed_until(spec.execution_time(k))
         if inject_failures and k % 3 == 0:
-            recovery.inject_pane_cache_failures(injector)
+            recovery.inject_pane_cache_failures(injector, fraction=0.3)
         if inject_failures and k == 25:
             victim = cluster.live_node_ids()[0]
             recovery.fail_node(victim)

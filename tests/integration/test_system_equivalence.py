@@ -9,8 +9,11 @@ processing: caching must never change the answer.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.bench.experiments import fig9_schedules
 from repro.bench.harness import (
     ExperimentConfig,
     build_workload,
@@ -18,7 +21,6 @@ from repro.bench.harness import (
     run_redoop_series,
 )
 from repro.hadoop.config import small_test_config
-from repro.hadoop.faults import FaultInjector
 
 
 def config(kind="aggregation", **kwargs):
@@ -86,7 +88,7 @@ def test_cache_failures_preserve_answers():
     faulty = run_redoop_series(
         cfg,
         workload=workload,
-        cache_failure_injector=FaultInjector(cache_loss_fraction=0.5, seed=3),
+        schedule=replace(fig9_schedules(cfg)["redoop(f)"], seed=3),
     )
     assert clean.output_digests == faulty.output_digests
 

@@ -172,9 +172,7 @@ class TestFaultStateRoundTrip:
 
         spec = make_spec()
         query = build_query(spec)
-        injector = FaultInjector(
-            task_failure_prob=0.1, cache_loss_fraction=0.5, seed=13
-        )
+        injector = FaultInjector(task_failure_prob=0.1, seed=13)
         injector.doom("/w4/")
         # Warm the RNG so the saved state is mid-stream, not initial.
         for i in range(5):
@@ -196,8 +194,8 @@ class TestFaultStateRoundTrip:
             assert restored.attempt_duration(key, 10.0) == (
                 injector.attempt_duration(key, 10.0)
             )
-        assert restored.pick_cache_victims(caches) == (
-            injector.pick_cache_victims(caches)
+        assert restored.pick_cache_victims(caches, fraction=0.5) == (
+            injector.pick_cache_victims(caches, fraction=0.5)
         )
 
     def test_chaos_schedule_round_trips_in_graph(self, tmp_path):
